@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reduced-scale rehearsal of the full study (~15 minutes on 2 cores).
+# Reduced-scale rehearsal of the full study (~3 minutes on 2 cores).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

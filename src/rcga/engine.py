@@ -6,9 +6,11 @@ occupant of another slot, and from the global best found so far. The archive
 is maintained for every crossover kind (it also supplies the best-so-far
 trace) but only PSOX reads it during variation.
 
-Draw order within one offspring is fixed: crossover-rate decision, tournament
-draws, operator draws, mutation draws. Identical config and seed therefore
-replay bit-identical runs.
+Each generation is a handful of matrix operations, and its draw order is
+fixed: the crossover-rate mask, every tournament, the PSOX partners or the
+operator's draws, the mutation draws, the optional per-individual mutation
+gate, then evaluation noise. Identical config and seed therefore replay
+bit-identical runs.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import benchmarks
-from .core import ObjectiveSpec, RngStream, make_rng, uniform_vector
+from .core import ObjectiveSpec, RngStream, make_rng
 from .operators import (
     CrossoverConfig,
     CrossoverKind,
@@ -121,9 +123,7 @@ def init_state(cfg: GaConfig) -> GaState:
     """Uniform-random evaluated population; archive seeded from it."""
     rng = make_rng(cfg.seed)
     bounds = cfg.objective.bounds
-    positions = np.empty((cfg.population_size, bounds.dimension))
-    for i in range(cfg.population_size):
-        positions[i] = uniform_vector(bounds, rng)
+    positions = bounds.lower + rng.random((cfg.population_size, bounds.dimension)) * bounds.span
     fitness = _evaluate(cfg, positions, rng)
     memory = SwarmMemory.from_population(positions, fitness)
     return GaState(
@@ -137,75 +137,67 @@ def init_state(cfg: GaConfig) -> GaState:
     )
 
 
-def _mutate(child, cfg: GaConfig, gen: int, rng: RngStream) -> np.ndarray:
-    mcfg = cfg.mutation
-    if mcfg.individual_rate < 1.0 and rng.random() >= mcfg.individual_rate:
-        return child
-    bounds = cfg.objective.bounds
-    if mcfg.kind is MutationKind.GM:
-        return gaussian_mutation(child, bounds, mcfg, rng)
-    return nonuniform_mutation(child, bounds, gen, max(cfg.generations, 1), mcfg, rng)
-
-
 def step_generation(state: GaState, psox_audit: Optional[Callable[[int, int], None]] = None) -> GaState:
     """Produce one full offspring generation and fold it into the state.
 
-    Each offspring: tournament selection, crossover with probability
-    ``crossover_rate`` (PSOX pairs the selected individual with another
-    slot's personal best and the global best), clamp, mutation, evaluation.
-    Replacement is wholesale with the configured elite count carried over;
-    the archive is updated last.
+    The population stays a matrix: a crossover-rate mask, every tournament
+    at once, one operator call on the crossing rows (PSOX pairs each selected
+    individual with another slot's personal best and the global best), one
+    clamp, mutation, evaluation. SBX and Laplace cross ``ceil(pop/2)`` pairs,
+    dropping the last child for an odd population. Replacement is wholesale
+    with the elite count carried over; the archive is updated last.
 
     ``psox_audit`` receives (parent_slot, partner_slot) for every PSOX child.
     """
     cfg = state.config
     rng = state.rng
     xo = cfg.crossover
+    mcfg = cfg.mutation
     pop = cfg.population_size
     bounds = cfg.objective.bounds
-    lower, upper = bounds.lower, bounds.upper
     next_gen = state.generation + 1
+    X = state.positions
 
-    children = np.empty_like(state.positions)
-    filled = 0
-    while filled < pop:
-        if rng.random() >= xo.crossover_rate:
-            i = tournament_index(state.fitness, cfg.selection_k, rng)
-            raw_children = (state.positions[i],)
-        elif xo.kind is CrossoverKind.PSOX:
-            i = tournament_index(state.fitness, cfg.selection_k, rng)
-            j = int(rng.integers(0, pop - 1))
-            if j >= i:
-                j += 1
-            if psox_audit is not None:
-                psox_audit(i, j)
-            child = psox_crossover(
-                state.positions[i],
-                state.memory.pbest_positions[j],
-                state.memory.gbest_position,
-                xo,
-                rng,
-            )
-            raw_children = (child,)
+    if xo.kind in (CrossoverKind.SBX, CrossoverKind.LAPLACE):
+        pairs = (pop + 1) // 2
+        cross = rng.random(pairs) < xo.crossover_rate
+        picks = tournament_index(state.fitness, cfg.selection_k, rng, size=2 * pairs)
+        c1, c2 = X[picks[:pairs]], X[picks[pairs:]]
+        if xo.kind is CrossoverKind.SBX:
+            c1[cross], c2[cross] = sbx_crossover(c1[cross], c2[cross], xo.sbx_eta, rng)
         else:
-            p1 = state.positions[tournament_index(state.fitness, cfg.selection_k, rng)]
-            p2 = state.positions[tournament_index(state.fitness, cfg.selection_k, rng)]
+            c1[cross], c2[cross] = laplace_crossover(c1[cross], c2[cross], xo.laplace_a, xo.laplace_b, rng)
+        children = np.concatenate((c1, c2))[:pop]
+    else:
+        cross = rng.random(pop) < xo.crossover_rate
+        picks = tournament_index(state.fitness, cfg.selection_k, rng, size=pop)
+        children = X[picks]
+        p1 = children[cross]
+        if xo.kind is CrossoverKind.PSOX:
+            i = picks[cross]
+            j = rng.integers(0, pop - 1, i.size)
+            j += j >= i
+            if psox_audit is not None:
+                for slot, partner in zip(i.tolist(), j.tolist()):
+                    psox_audit(slot, partner)
+            children[cross] = psox_crossover(p1, state.memory.pbest_positions[j], state.memory.gbest_position, xo, rng)
+        else:
+            p2 = X[tournament_index(state.fitness, cfg.selection_k, rng, size=p1.shape[0])]
             if xo.kind is CrossoverKind.AX:
-                raw_children = (ax_crossover(p1, p2, xo.ax_alpha),)
+                children[cross] = ax_crossover(p1, p2, xo.ax_alpha)
             elif xo.kind is CrossoverKind.FX:
-                raw_children = (fx_crossover(p1, p2, rng),)
-            elif xo.kind is CrossoverKind.BLX_ALPHA:
-                raw_children = (blx_alpha_crossover(p1, p2, xo.blx_alpha, rng),)
-            elif xo.kind is CrossoverKind.SBX:
-                raw_children = sbx_crossover(p1, p2, xo.sbx_eta, rng)
+                children[cross] = fx_crossover(p1, p2, rng)
             else:
-                raw_children = laplace_crossover(p1, p2, xo.laplace_a, xo.laplace_b, rng)
-        for child in raw_children:
-            if filled == pop:
-                break
-            child = np.clip(child, lower, upper)
-            children[filled] = _mutate(child, cfg, next_gen, rng)
-            filled += 1
+                children[cross] = blx_alpha_crossover(p1, p2, xo.blx_alpha, rng)
+
+    clamped = np.clip(children, bounds.lower, bounds.upper)
+    if mcfg.kind is MutationKind.GM:
+        children = gaussian_mutation(clamped, bounds, mcfg, rng)
+    else:
+        children = nonuniform_mutation(clamped, bounds, next_gen, max(cfg.generations, 1), mcfg, rng)
+    if mcfg.individual_rate < 1.0:
+        gate = rng.random(pop) < mcfg.individual_rate
+        children = np.where(gate[:, None], children, clamped)
 
     fitness = _evaluate(cfg, children, rng)
     state.evaluations += pop

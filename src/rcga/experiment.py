@@ -337,10 +337,6 @@ def ga_config_for(cfg: ExperimentConfig, cell: Cell, run_index: int) -> GaConfig
     )
 
 
-def _execute_run(ga_cfg: GaConfig) -> RunTrace:
-    return run_ga(ga_cfg)
-
-
 def resolve_workers(cfg_workers: int) -> int:
     env = os.environ.get("RCGA_WORKERS")
     if env:
@@ -360,13 +356,13 @@ def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]):
     if workers == 1 or len(jobs) == 1:
         for cell, r in jobs:
             try:
-                results[cell.index][r] = _execute_run(ga_config_for(cfg, cell, r))
+                results[cell.index][r] = run_ga(ga_config_for(cfg, cell, r))
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 errors.setdefault(cell.index, f"run {r + 1}: {exc}")
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_execute_run, ga_config_for(cfg, cell, r)): (cell.index, r)
+                pool.submit(run_ga, ga_config_for(cfg, cell, r)): (cell.index, r)
                 for cell, r in jobs
             }
             for future, (cell_index, r) in futures.items():
@@ -568,9 +564,9 @@ def analyze(
 
 
 def _write_summary_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs: int) -> None:
-    lines = ["problem,operator,mutation,mean,std,kw_flag"]
+    lines = ["problem,operator,mutation,mean,std,kw_flag,kw_method"]
     for a in analyses:
-        kw_flag = a.report.kw_flag if a.report else FLAG_NOT_RUN
+        kw_cols = f"{a.report.kw_flag},{a.report.kw_method}" if a.report else f"{FLAG_NOT_RUN},-"
         summaries = {s.label: s for s in a.report.groups} if a.report else {}
         for op, vals in a.groups:
             label = f"{op}-{a.mutation}"
@@ -583,7 +579,7 @@ def _write_summary_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
                 )
             else:
                 mean_s = std_s = "-"
-            lines.append(f"{a.problem},{op},{a.mutation},{mean_s},{std_s},{kw_flag}")
+            lines.append(f"{a.problem},{op},{a.mutation},{mean_s},{std_s},{kw_cols}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -5,6 +5,10 @@ call, SBX and Laplace emit the symmetric pair. All randomized operators draw
 fresh numbers per gene from the caller-owned stream, so the scalar textbook
 formulas act independently on every coordinate.
 
+Every crossover and mutation takes one ``(n,)`` chromosome or an ``(m, n)``
+matrix of them, drawing row-major, so row r of a matrix call equals the 1-D
+call on row r fed that row's draws. The engine makes one call per generation.
+
 PSOX is the PSO-flavoured crossover: instead of recombining two parents from
 the current generation, it moves an individual toward another slot's personal
 best and toward the global best,
@@ -100,8 +104,8 @@ class MutationConfig:
 
 
 def _check_pair(p1: np.ndarray, p2: np.ndarray, what: str) -> None:
-    if p1.shape != p2.shape or p1.ndim != 1:
-        raise ValueError(f"{what}: parents must be 1-D vectors of equal dimension")
+    if p1.ndim not in (1, 2) or p2.ndim not in (1, 2) or p1.shape[-1] != p2.shape[-1]:
+        raise ValueError(f"{what}: parents must be 1-D vectors or 2-D row matrices of equal dimension")
 
 
 def ax_crossover(p1: RealVector, p2: RealVector, alpha: float) -> RealVector:
@@ -115,7 +119,7 @@ def fx_crossover(p1: RealVector, p2: RealVector, rng: RngStream) -> RealVector:
     _check_pair(p1, p2, "fx_crossover")
     lo = np.minimum(p1, p2)
     hi = np.maximum(p1, p2)
-    return lo + rng.random(p1.size) * (hi - lo)
+    return lo + rng.random(lo.shape) * (hi - lo)
 
 
 def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: RngStream) -> RealVector:
@@ -124,7 +128,7 @@ def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: RngSt
     lo = np.minimum(p1, p2)
     hi = np.maximum(p1, p2)
     spread = alpha * (hi - lo)
-    return (lo - spread) + rng.random(p1.size) * ((hi + spread) - (lo - spread))
+    return (lo - spread) + rng.random(lo.shape) * ((hi + spread) - (lo - spread))
 
 
 def sbx_crossover(p1: RealVector, p2: RealVector, eta: float, rng: RngStream) -> tuple[RealVector, RealVector]:
@@ -137,7 +141,7 @@ def sbx_crossover(p1: RealVector, p2: RealVector, eta: float, rng: RngStream) ->
     _check_pair(p1, p2, "sbx_crossover")
     if eta <= 0.0:
         raise ValueError("sbx_crossover: eta must be positive")
-    u = rng.random(p1.size)
+    u = rng.random(p1.shape)
     exponent = 1.0 / (eta + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
@@ -153,9 +157,9 @@ def laplace_crossover(p1: RealVector, p2: RealVector, a: float, b: float, rng: R
     _check_pair(p1, p2, "laplace_crossover")
     if b < 0.0:
         raise ValueError("laplace_crossover: b must be non-negative")
-    u = rng.random(p1.size)
+    u = rng.random(p1.shape)
     while np.any(u == 0.0):  # keep ln(u) finite; zero has probability 2**-53 per draw
-        u = np.where(u == 0.0, rng.random(p1.size), u)
+        u = np.where(u == 0.0, rng.random(u.shape), u)
     log_u = np.log(u)
     beta = np.where(u <= 0.5, a - b * log_u, a + b * log_u)
     gap = np.abs(p1 - p2)
@@ -173,24 +177,21 @@ def psox_crossover(
 
     The caller guarantees pbest_j belongs to a slot other than p_i's own.
     r1 and r2 are redrawn per gene unless ``cfg.psox_per_gene_draws`` is off,
-    in which case a single scalar pair steers the whole vector.
+    in which case a single pair per row steers that whole chromosome. ``gbest``
+    may be one vector shared by every row of a matrix call.
     """
     _check_pair(p_i, pbest_j, "psox_crossover")
     _check_pair(p_i, gbest, "psox_crossover")
-    if cfg.psox_per_gene_draws:
-        r1 = rng.random(p_i.size)
-        r2 = rng.random(p_i.size)
-    else:
-        r1 = rng.random()
-        r2 = rng.random()
+    shape = p_i.shape if cfg.psox_per_gene_draws else p_i.shape[:-1] + (1,)
+    r1 = rng.random(shape)
+    r2 = rng.random(shape)
     return cfg.psox_w * p_i + cfg.psox_c1 * r1 * (pbest_j - p_i) + cfg.psox_c2 * r2 * (gbest - p_i)
 
 
 def gaussian_mutation(x: RealVector, b: Bounds, cfg: MutationConfig, rng: RngStream) -> RealVector:
     """Perturb each gene with rate ``per_gene_rate`` by N(0, sigma_fraction * range); clamp."""
-    n = x.size
-    hit = rng.random(n) < cfg.per_gene_rate
-    noise = rng.normal(0.0, cfg.gm_sigma_fraction * b.span, n)
+    hit = rng.random(x.shape) < cfg.per_gene_rate
+    noise = rng.normal(0.0, cfg.gm_sigma_fraction * b.span, x.shape)
     return np.clip(np.where(hit, x + noise, x), b.lower, b.upper)
 
 
@@ -211,23 +212,25 @@ def nonuniform_mutation(
         raise ValueError("nonuniform_mutation: max_gen must be at least 1")
     if not 0 <= gen <= max_gen:
         raise ValueError("nonuniform_mutation: gen must lie in [0, max_gen]")
-    n = x.size
-    hit = rng.random(n) < cfg.per_gene_rate
-    upward = rng.random(n) < 0.5
-    r = rng.random(n)
+    hit = rng.random(x.shape) < cfg.per_gene_rate
+    upward = rng.random(x.shape) < 0.5
+    r = rng.random(x.shape)
     step = 1.0 - r ** ((1.0 - gen / max_gen) ** cfg.num_b)
     delta = np.where(upward, (b.upper - x) * step, (b.lower - x) * step)
     return np.clip(np.where(hit, x + delta, x), b.lower, b.upper)
 
 
-def tournament_index(fitness: np.ndarray, k: int, rng: RngStream) -> int:
-    """Index of the fittest among k uniform-with-replacement draws; earliest draw wins ties."""
+def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int | None = None):
+    """Index of the fittest among k uniform-with-replacement draws; earliest draw wins ties.
+
+    With ``size`` set, runs ``size`` tournaments from one ``(size, k)`` draw; returns their winners."""
     if fitness.size == 0:
         raise ValueError("tournament: population is empty")
     if k < 1:
         raise ValueError("tournament: k must be at least 1")
-    picks = rng.integers(0, fitness.size, size=k)
-    return int(picks[int(np.argmin(fitness[picks]))])
+    picks = rng.integers(0, fitness.size, size=(1 if size is None else size, k))
+    winners = picks[np.arange(picks.shape[0]), np.argmin(fitness[picks], axis=1)]
+    return int(winners[0]) if size is None else winners
 
 
 def tournament_select(pop: Sequence[Individual], k: int, rng: RngStream) -> Individual:

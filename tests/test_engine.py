@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rcga import benchmarks
+from rcga.core import make_rng
 from rcga.engine import GaConfig, SwarmMemory, init_state, run_ga, step_generation
 from rcga.operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
 
@@ -53,6 +54,15 @@ class TestInitState:
         b = state.config.objective.bounds
         assert np.all(state.positions >= b.lower) and np.all(state.positions < b.upper)
 
+    def test_one_matrix_draw_equals_per_row_draws(self):
+        # PCG64 fills a (pop, n) draw row-major, so one matrix draw replays the
+        # population that per-row vector draws made from the same seed.
+        cfg = config(problem=6, pop=100, dimension=30, seed=15)
+        b = cfg.objective.bounds
+        rng = make_rng(15)
+        rows = np.stack([b.lower + rng.random(30) * b.span for _ in range(100)])
+        assert np.array_equal(init_state(cfg).positions, rows)
+
 
 class TestStepGeneration:
     def test_disabled_variation_copies_tournament_winners(self):
@@ -91,6 +101,33 @@ class TestStepGeneration:
             state = init_state(config(kind=kind, pop=21, seed=6))
             state = step_generation(state)
             assert state.positions.shape == (21, 4)
+
+    def test_individual_gate_closed_copies_parents(self):
+        # Gate shut: every gene would mutate, but no chromosome passes the gate.
+        for mutation in MutationKind:
+            state = init_state(config(problem=6, mutation=mutation, crossover_rate=0.0, per_gene_rate=1.0,
+                                      individual_rate=0.0, elitism=0))
+            parents = state.positions.copy()
+            state = step_generation(state)
+            for row in state.positions:
+                assert any(np.array_equal(row, p) for p in parents)
+
+    def test_individual_gate_open_mutates(self):
+        cfg = config(problem=6, crossover_rate=0.0, per_gene_rate=1.0, individual_rate=0.5, elitism=0)
+        state = init_state(cfg)
+        parents = state.positions.copy()
+        state = step_generation(state)
+        copied = sum(any(np.array_equal(row, p) for p in parents) for row in state.positions)
+        assert 0 < copied < cfg.population_size
+
+    def test_odd_population_pair_operators_at_full_crossover(self):
+        for kind in (CrossoverKind.SBX, CrossoverKind.LAPLACE):
+            state = init_state(config(problem=6, kind=kind, pop=21, crossover_rate=1.0, seed=16))
+            b = state.config.objective.bounds
+            for _ in range(3):
+                state = step_generation(state)
+                assert state.positions.shape == (21, 4) and state.fitness.shape == (21,)
+                assert np.all(state.positions >= b.lower) and np.all(state.positions <= b.upper)
 
     def test_elitism_keeps_previous_best(self):
         cfg = config(seed=7, elitism=2)

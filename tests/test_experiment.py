@@ -162,7 +162,7 @@ class TestAnalyze:
         bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
         analyze(bundle)
         summary = (bundle / "summary.csv").read_text().splitlines()
-        assert summary[0] == "problem,operator,mutation,mean,std,kw_flag"
+        assert summary[0] == "problem,operator,mutation,mean,std,kw_flag,kw_method"
         assert len(summary) == 3  # header + 2 operators
         dunnett = (bundle / "dunnett.csv").read_text().splitlines()
         assert dunnett[0] == "problem,treatment,p_value,flag"

@@ -276,3 +276,98 @@ class TestTournament:
         pop[1].evaluated = False
         with pytest.raises(ValueError):
             tournament_select(pop, 2, make_rng(0))
+
+
+class TestBatchedRows:
+    """Row r of an (m, n) call equals the 1-D call on row r fed that row's draws."""
+
+    m, n = 4, 5
+
+    def matrices(self, seed, count, low=-3.0, high=3.0):
+        rng = make_rng(seed)
+        return [low + (high - low) * rng.random((self.m, self.n)) for _ in range(count)]
+
+    def draws(self, seed, count):
+        # Kept inside (0.01, 0.99) so that no preset hits Laplace's u == 0 redraw.
+        return [0.01 + 0.98 * u for u in self.matrices(seed, count, 0.0, 1.0)]
+
+    def test_ax(self):
+        p1, p2 = self.matrices(20, 2)
+        out = ax_crossover(p1, p2, 0.3)
+        for r in range(self.m):
+            assert np.array_equal(out[r], ax_crossover(p1[r], p2[r], 0.3))
+
+    @pytest.mark.parametrize("op", [
+        lambda p1, p2, rng: fx_crossover(p1, p2, rng),
+        lambda p1, p2, rng: blx_alpha_crossover(p1, p2, 0.5, rng),
+    ], ids=["fx", "blx_alpha"])
+    def test_one_child_operators(self, op):
+        p1, p2 = self.matrices(21, 2)
+        (u,) = self.draws(22, 1)
+        out = op(p1, p2, StubRng(uniforms=[u]))
+        for r in range(self.m):
+            assert np.array_equal(out[r], op(p1[r], p2[r], StubRng(uniforms=[u[r]])))
+
+    @pytest.mark.parametrize("op", [
+        lambda p1, p2, rng: sbx_crossover(p1, p2, 2.0, rng),
+        lambda p1, p2, rng: laplace_crossover(p1, p2, 0.0, 0.15, rng),
+    ], ids=["sbx", "laplace"])
+    def test_pair_operators(self, op):
+        p1, p2 = self.matrices(23, 2)
+        (u,) = self.draws(24, 1)
+        c1, c2 = op(p1, p2, StubRng(uniforms=[u]))
+        for r in range(self.m):
+            r1, r2 = op(p1[r], p2[r], StubRng(uniforms=[u[r]]))
+            assert np.array_equal(c1[r], r1) and np.array_equal(c2[r], r2)
+
+    def test_psox_with_shared_gbest(self):
+        p, pbest = self.matrices(25, 2)
+        gbest = np.linspace(-1.0, 1.0, self.n)
+        a, b = self.draws(26, 2)
+        cfg = CrossoverConfig(kind=CrossoverKind.PSOX)
+        out = psox_crossover(p, pbest, gbest, cfg, StubRng(uniforms=[a, b]))
+        for r in range(self.m):
+            row = psox_crossover(p[r], pbest[r], gbest, cfg, StubRng(uniforms=[a[r], b[r]]))
+            assert np.array_equal(out[r], row)
+
+    def test_gaussian_mutation(self):
+        (x,) = self.matrices(27, 1, -1.0, 1.0)
+        (hit,) = self.draws(28, 1)
+        (noise,) = self.matrices(29, 1)
+        cfg = MutationConfig(kind=MutationKind.GM, per_gene_rate=0.5, gm_sigma_fraction=0.1)
+        out = gaussian_mutation(x, unit_bounds(self.n), cfg, StubRng(uniforms=[hit], normals=[noise]))
+        for r in range(self.m):
+            rng = StubRng(uniforms=[hit[r]], normals=[noise[r]])
+            assert np.array_equal(out[r], gaussian_mutation(x[r], unit_bounds(self.n), cfg, rng))
+
+    def test_nonuniform_mutation(self):
+        (x,) = self.matrices(30, 1, -1.0, 1.0)
+        hit, up, step = self.draws(31, 3)
+        cfg = MutationConfig(kind=MutationKind.NUM, per_gene_rate=0.5)
+        out = nonuniform_mutation(x, unit_bounds(self.n), 3, 10, cfg, StubRng(uniforms=[hit, up, step]))
+        for r in range(self.m):
+            rng = StubRng(uniforms=[hit[r], up[r], step[r]])
+            assert np.array_equal(out[r], nonuniform_mutation(x[r], unit_bounds(self.n), 3, 10, cfg, rng))
+
+    def test_psox_scalar_draws_are_per_row(self):
+        cfg = CrossoverConfig(kind=CrossoverKind.PSOX, psox_w=0.0, psox_c1=1.0, psox_c2=1.0,
+                              psox_per_gene_draws=False)
+        direction = np.arange(1.0, self.n + 1.0)
+        zeros = np.zeros((self.m, self.n))
+        r1 = psox_crossover(zeros, np.tile(direction, (self.m, 1)), np.zeros(self.n), cfg, make_rng(32)) / direction
+        r2 = psox_crossover(zeros, zeros, direction, cfg, make_rng(33)) / direction
+        for r in (r1, r2):
+            assert np.allclose(r, r[:, :1], rtol=1e-12, atol=0)  # one draw moves every gene of a row
+            assert np.unique(r[:, 0]).size == self.m  # rows draw their own value
+        # The draws are one (m, 1) column each for r1 and r2.
+        a, b = np.array([[0.1], [0.2], [0.3], [0.4]]), np.array([[0.5], [0.6], [0.7], [0.8]])
+        out = psox_crossover(zeros, np.tile(direction, (self.m, 1)), 2.0 * direction, cfg, StubRng(uniforms=[a, b]))
+        assert np.allclose(out, (a + 2.0 * b) * direction, rtol=1e-12, atol=0)
+
+    def test_tournament_rows(self):
+        fitness = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 0.5])
+        picks = np.array([[0, 2, 4], [3, 1, 0], [1, 3, 2], [5, 5, 0], [4, 4, 4]])
+        winners = tournament_index(fitness, 3, StubRng(ints=[picks]), size=len(picks))
+        assert winners.tolist() == [2, 3, 1, 5, 4]  # rows 1 and 2 tie at 1.0: earliest draw wins
+        for row, w in zip(picks, winners):
+            assert w == tournament_index(fitness, 3, StubRng(ints=[row]))
