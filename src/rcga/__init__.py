@@ -2,15 +2,12 @@
 
 from .core import (
     Bounds,
-    Individual,
     ObjectiveSpec,
     RealVector,
     RngStream,
-    clamp_to_bounds,
     make_rng,
-    uniform_vector,
 )
-from .benchmarks import benchmark_eval, benchmark_spec, batch_eval, penalty_u
+from .benchmarks import benchmark_eval, benchmark_spec, batch_eval
 from .operators import (
     CrossoverConfig,
     CrossoverKind,
@@ -24,7 +21,6 @@ from .operators import (
     nonuniform_mutation,
     psox_crossover,
     sbx_crossover,
-    tournament_select,
 )
 from .engine import GaConfig, GaState, RunTrace, SwarmMemory, init_state, run_ga, step_generation
 from .stats import SampleGroup, StatReport, build_report, dunnett_one_sided, kruskal_wallis, rank_with_ties, summarize

@@ -24,18 +24,8 @@ from .core import Bounds, ObjectiveSpec, RealVector, RngStream
 CHAINED_PROBLEMS = frozenset({4, 5, 7, 14, 15})
 
 
-def penalty_u(x: float, a: float, k: float, m: float) -> float:
-    """Symmetric box penalty: k*(x-a)^m beyond +a, k*(-x-a)^m beyond -a, else 0."""
-    if a <= 0 or k <= 0 or m <= 0:
-        raise ValueError("penalty_u: a, k, m must all be positive")
-    if x > a:
-        return k * (x - a) ** m
-    if x < -a:
-        return k * (-x - a) ** m
-    return 0.0
-
-
 def _penalty_sum(X: np.ndarray, a: float, k: float, m: float) -> np.ndarray:
+    """Per row, the sum of the box penalty k*(x-a)^m beyond +a, k*(-x-a)^m beyond -a, else 0."""
     over = np.clip(X - a, 0.0, None)
     under = np.clip(-X - a, 0.0, None)
     return k * np.sum(over**m + under**m, axis=1)
@@ -114,7 +104,6 @@ def _cigar(X):
 
 
 def _penalized_1(X):
-    n = X.shape[1]
     return _levy_montalvo_1(X) + _penalty_sum(X, 10.0, 100.0, 4.0)
 
 

@@ -5,7 +5,6 @@ operators treat it as an immutable value and return fresh arrays.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +52,6 @@ class Bounds:
         return self.upper - self.lower
 
 
-@dataclass
-class Individual:
-    """A candidate solution. ``fitness`` is meaningful only once ``evaluated`` is set."""
-
-    position: np.ndarray
-    fitness: float = math.nan
-    evaluated: bool = False
-
-
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Identity and metadata of one benchmark problem instance.
@@ -78,19 +68,3 @@ class ObjectiveSpec:
     optimum_value: float
     noisy: bool = False
     multimodal: bool = False
-
-
-def clamp_to_bounds(x: RealVector, b: Bounds) -> RealVector:
-    """Project x onto the box: each gene becomes min(upper, max(lower, gene)).
-
-    Idempotent; interior genes pass through unchanged.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != b.dimension:
-        raise ValueError(f"clamp_to_bounds: vector has {x.size} genes, bounds expect {b.dimension}")
-    return np.clip(x, b.lower, b.upper)
-
-
-def uniform_vector(b: Bounds, rng: RngStream) -> RealVector:
-    """Draw each gene independently and uniformly from [lower, upper)."""
-    return b.lower + rng.random(b.dimension) * b.span

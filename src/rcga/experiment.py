@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ from . import benchmarks, svgplot
 from .core import make_rng
 from .engine import GaConfig, RunTrace, run_ga
 from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
-from .stats import FLAG_NOT_RUN, SampleGroup, StatReport, build_report
+from .stats import FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -55,7 +55,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description (one config file)."""
+    """Parsed experiment description (one config file).
+
+    ``crossover`` and ``mutation`` are templates holding the operator
+    parameters; each cell sets their ``kind``, and the mutation's
+    ``per_gene_rate`` becomes ``mutation_rate / dimension``.
+    """
 
     name: str
     problems: tuple[int, ...]
@@ -65,7 +70,6 @@ class ExperimentConfig:
     population_size: int = 300
     generations: int = 1000
     runs: int = 30
-    crossover_rate: float = 0.8
     mutation_rate: float = 0.1
     mutation_rates: tuple[float, ...] = (0.1, 0.4, 0.7, 1.0)
     selection_k: int = 3
@@ -75,17 +79,8 @@ class ExperimentConfig:
     mc_samples: int = 100_000
     workers: int = 0  # 0 = logical CPU count
     output_dir: Path = Path("results")
-    ax_alpha: float = 0.5
-    blx_alpha: float = 0.5
-    sbx_eta: float = 2.0
-    laplace_a: float = 0.0
-    laplace_b: float = 0.15
-    psox_w: float = 0.6
-    psox_c1: float = 1.5
-    psox_c2: float = 1.5
-    psox_per_gene_draws: bool = True
-    gm_sigma_fraction: float = 0.05
-    num_b: float = 5.0
+    crossover: CrossoverConfig = field(default_factory=CrossoverConfig)
+    mutation: MutationConfig = field(default_factory=MutationConfig)
 
 
 def format_sci(value: float, sig: int = 6) -> str:
@@ -97,6 +92,16 @@ def format_sci(value: float, sig: int = 6) -> str:
 
 # ---------------------------------------------------------------------------
 # Config parsing
+
+
+def _no_repeats(items: list, what: str, ident=str) -> tuple:
+    """``items`` as a tuple; a repeat would make two cells write one trace file."""
+    seen = set()
+    for name in map(ident, items):
+        if name in seen:
+            raise ValueError(f"{what} {name} is listed twice")
+        seen.add(name)
+    return tuple(items)
 
 
 def _parse_problems(raw: str) -> tuple[int, ...]:
@@ -116,7 +121,7 @@ def _parse_problems(raw: str) -> tuple[int, ...]:
     for pid in out:
         if pid not in benchmarks.REGISTRY:
             raise ValueError(f"unknown problem id {pid}")
-    return tuple(out)
+    return _no_repeats(out, "problem")
 
 
 def _parse_operators(raw: str) -> tuple[CrossoverKind, ...]:
@@ -126,7 +131,7 @@ def _parse_operators(raw: str) -> tuple[CrossoverKind, ...]:
         if key not in OPERATOR_ALIASES:
             raise ValueError(f"unknown operator {token.strip()!r}")
         kinds.append(OPERATOR_ALIASES[key])
-    return tuple(kinds)
+    return _no_repeats(kinds, "operator", lambda kind: kind.value)
 
 
 def _parse_mutations(raw: str) -> tuple[MutationKind, ...]:
@@ -137,17 +142,17 @@ def _parse_mutations(raw: str) -> tuple[MutationKind, ...]:
             kinds.append(MutationKind[key])
         except KeyError:
             raise ValueError(f"unknown mutation {token.strip()!r}") from None
-    return tuple(kinds)
+    return _no_repeats(kinds, "mutation", lambda kind: kind.value)
 
 
 def _parse_rates(raw: str) -> tuple[float, ...]:
-    rates = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    rates = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not rates:
         raise ValueError("no rates given")
     for r in rates:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"rate {r} outside [0, 1]")
-    return rates
+    return _no_repeats(rates, "rate", lambda r: f"{r:g}")  # the trace file name's format
 
 
 def _parse_bool(raw: str) -> bool:
@@ -159,12 +164,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_INT_KEYS = {"dimension", "population_size", "generations", "runs", "selection_k", "elitism", "seed", "mc_samples", "workers"}
-_FLOAT_KEYS = {
-    "crossover_rate", "mutation_rate", "alpha",
-    "ax_alpha", "blx_alpha", "sbx_eta", "laplace_a", "laplace_b",
-    "psox_w", "psox_c1", "psox_c2", "gm_sigma_fraction", "num_b",
-}
+def _config_keys() -> dict:
+    """Config key -> (which config it sets, value parser), read off the dataclasses.
+
+    The operator keys are the fields of ``CrossoverConfig`` and
+    ``MutationConfig``; the harness sets ``kind`` and ``per_gene_rate`` per
+    cell and leaves ``individual_rate`` at its default. Other values are
+    parsed by the type of the field's default.
+    """
+    special = {
+        "problems": _parse_problems,
+        "operators": _parse_operators,
+        "mutations": _parse_mutations,
+        "mutation_rates": _parse_rates,
+    }
+    keys = {}
+    for target, cls, skip in (
+        ("experiment", ExperimentConfig, {"name", "crossover", "mutation"}),
+        ("crossover", CrossoverConfig, {"kind"}),
+        ("mutation", MutationConfig, {"kind", "per_gene_rate", "individual_rate"}),
+    ):
+        for f in fields(cls):
+            if f.name not in skip:
+                parse = special.get(f.name) or (_parse_bool if isinstance(f.default, bool) else type(f.default))
+                keys[f.name] = (target, parse)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def parse_config(
@@ -193,45 +220,37 @@ def parse_config(
     if overrides:
         raw.update({k.lower(): str(v) for k, v in overrides.items() if v is not None})
 
-    fields: dict = {"name": raw.pop("name", path.stem)}
+    values: dict[str, dict] = {"experiment": {"name": raw.pop("name", path.stem)}, "crossover": {}, "mutation": {}}
+    experiment = values["experiment"]
 
     scale = raw.pop("scale", None)
     if scale is not None:
         if scale not in SCALE_PRESETS:
             raise ConfigError(f"{path}: scale: must be one of {sorted(SCALE_PRESETS)}, got {scale!r}")
-        fields["population_size"], fields["generations"], fields["runs"] = SCALE_PRESETS[scale]
+        experiment["population_size"], experiment["generations"], experiment["runs"] = SCALE_PRESETS[scale]
 
     def fail(key: str, message: str):
         raise ConfigError(f"{path}: {key}: {message}")
 
     for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            fail(key, "unknown key")
+        target, parse = _CONFIG_KEYS[key]
         try:
-            if key == "problems":
-                fields["problems"] = _parse_problems(value)
-            elif key == "operators":
-                fields["operators"] = _parse_operators(value)
-            elif key == "mutations":
-                fields["mutations"] = _parse_mutations(value)
-            elif key == "mutation_rates":
-                fields["mutation_rates"] = _parse_rates(value)
-            elif key == "output_dir":
-                fields["output_dir"] = Path(value)
-            elif key == "psox_per_gene_draws":
-                fields["psox_per_gene_draws"] = _parse_bool(value)
-            elif key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            else:
-                fail(key, "unknown key")
-        except ConfigError:
-            raise
+            values[target][key] = parse(value)
         except (TypeError, ValueError, KeyError) as exc:
             fail(key, str(exc.args[0]) if exc.args else str(exc))
 
-    if "problems" not in fields:
+    if "problems" not in experiment:
         fail("problems", "required key is missing")
-    cfg = ExperimentConfig(**fields)
+    try:  # surface operator-parameter violations as config diagnostics
+        cfg = ExperimentConfig(
+            **experiment,
+            crossover=CrossoverConfig(**values["crossover"]),
+            mutation=MutationConfig(**values["mutation"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     if cfg.runs < 1:
         fail("runs", "must be >= 1")
@@ -241,8 +260,6 @@ def parse_config(
         fail("generations", "must be >= 1")
     if cfg.dimension < 2:
         fail("dimension", "must be >= 2 (chained benchmarks need two genes)")
-    if not 0.0 <= cfg.crossover_rate <= 1.0:
-        fail("crossover_rate", "must lie in [0, 1]")
     if not 0.0 <= cfg.mutation_rate <= 1.0:
         fail("mutation_rate", "must lie in [0, 1]")
     if not 0.0 < cfg.alpha < 1.0:
@@ -253,17 +270,6 @@ def parse_config(
         fail("operators", "must list at least one operator")
     if not cfg.mutations:
         fail("mutations", "must list at least one mutation")
-    try:  # surface operator-parameter violations as config diagnostics
-        for kind in cfg.operators:
-            _crossover_config(cfg, kind)
-        MutationConfig(
-            kind=cfg.mutations[0],
-            per_gene_rate=cfg.mutation_rate / cfg.dimension,
-            gm_sigma_fraction=cfg.gm_sigma_fraction,
-            num_b=cfg.num_b,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -296,22 +302,6 @@ class Cell:
         return stem + ".csv"
 
 
-def _crossover_config(cfg: ExperimentConfig, kind: CrossoverKind) -> CrossoverConfig:
-    return CrossoverConfig(
-        kind=kind,
-        ax_alpha=cfg.ax_alpha,
-        blx_alpha=cfg.blx_alpha,
-        sbx_eta=cfg.sbx_eta,
-        laplace_a=cfg.laplace_a,
-        laplace_b=cfg.laplace_b,
-        psox_w=cfg.psox_w,
-        psox_c1=cfg.psox_c1,
-        psox_c2=cfg.psox_c2,
-        psox_per_gene_draws=cfg.psox_per_gene_draws,
-        crossover_rate=cfg.crossover_rate,
-    )
-
-
 def ga_config_for(cfg: ExperimentConfig, cell: Cell, run_index: int) -> GaConfig:
     """Assemble the engine config for one run of one cell.
 
@@ -319,18 +309,12 @@ def ga_config_for(cfg: ExperimentConfig, cell: Cell, run_index: int) -> GaConfig
     child an expected m perturbed genes (per-gene probability m/dimension).
     """
     rate = cfg.mutation_rate if cell.rate is None else cell.rate
-    mutation = MutationConfig(
-        kind=cell.mutation,
-        per_gene_rate=rate / cfg.dimension,
-        gm_sigma_fraction=cfg.gm_sigma_fraction,
-        num_b=cfg.num_b,
-    )
     return GaConfig(
         objective=benchmarks.benchmark_spec(cell.problem, dimension=cfg.dimension),
         population_size=cfg.population_size,
         generations=cfg.generations,
-        crossover=_crossover_config(cfg, cell.operator),
-        mutation=mutation,
+        crossover=replace(cfg.crossover, kind=cell.operator),
+        mutation=replace(cfg.mutation, kind=cell.mutation, per_gene_rate=rate / cfg.dimension),
         selection_k=cfg.selection_k,
         seed=cfg.seed + cell.index * cfg.runs + run_index,
         elitism=cfg.elitism,
@@ -417,7 +401,7 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], s
         "population_size": cfg.population_size,
         "generations": cfg.generations,
         "runs": cfg.runs,
-        "crossover_rate": cfg.crossover_rate,
+        "crossover_rate": cfg.crossover.crossover_rate,
         "mutation_rate": cfg.mutation_rate,
         "master_seed": cfg.seed,
         "mc_seed": cfg.seed,
@@ -567,18 +551,11 @@ def _write_summary_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
     lines = ["problem,operator,mutation,mean,std,kw_flag,kw_method"]
     for a in analyses:
         kw_cols = f"{a.report.kw_flag},{a.report.kw_method}" if a.report else f"{FLAG_NOT_RUN},-"
-        summaries = {s.label: s for s in a.report.groups} if a.report else {}
         for op, vals in a.groups:
-            label = f"{op}-{a.mutation}"
-            if label in summaries:
-                s = summaries[label]
-                mean_s, std_s = format_sci(s.mean, sig_figs), format_sci(s.std, sig_figs)
-            elif vals is not None and vals.size > 0:
-                mean_s, std_s = format_sci(float(np.mean(vals)), sig_figs), (
-                    format_sci(float(np.std(vals, ddof=1)), sig_figs) if vals.size > 1 else format_sci(0.0, sig_figs)
-                )
-            else:
+            if vals is None:
                 mean_s = std_s = "-"
+            else:
+                mean_s, std_s = (format_sci(v, sig_figs) for v in summarize(vals))
             lines.append(f"{a.problem},{op},{a.mutation},{mean_s},{std_s},{kw_cols}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -673,8 +650,7 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
         if finals is None:
             lines.append(f"{format_sci(cell['rate'])},{cell['problem']},-,-")
             continue
-        mean = float(np.mean(finals))
-        std = float(np.std(finals, ddof=1)) if finals.size > 1 else 0.0
+        mean, std = summarize(finals)
         lines.append(f"{format_sci(cell['rate'])},{cell['problem']},{format_sci(mean)},{format_sci(std)}")
         per_problem.setdefault(cell["problem"], []).append((cell["rate"], mean, std))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")

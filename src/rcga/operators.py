@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .core import Bounds, Individual, RealVector, RngStream
+from .core import Bounds, RealVector, RngStream
 
 
 class CrossoverKind(str, Enum):
@@ -231,13 +230,3 @@ def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int | No
     picks = rng.integers(0, fitness.size, size=(1 if size is None else size, k))
     winners = picks[np.arange(picks.shape[0]), np.argmin(fitness[picks], axis=1)]
     return int(winners[0]) if size is None else winners
-
-
-def tournament_select(pop: Sequence[Individual], k: int, rng: RngStream) -> Individual:
-    """Tournament selection over evaluated individuals (minimization)."""
-    if len(pop) == 0:
-        raise ValueError("tournament_select: population is empty")
-    if any(not ind.evaluated for ind in pop):
-        raise ValueError("tournament_select: every individual must be evaluated")
-    fitness = np.array([ind.fitness for ind in pop])
-    return pop[tournament_index(fitness, k, rng)]

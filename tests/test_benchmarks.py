@@ -10,7 +10,6 @@ from rcga.benchmarks import (
     batch_eval,
     benchmark_eval,
     benchmark_spec,
-    penalty_u,
     resolve_problem_id,
 )
 from rcga.core import make_rng
@@ -81,28 +80,27 @@ class TestPointEvaluations:
 
 
 class TestPenaltyU:
+    """The penalty u(x, a, k, m) of problems 14 and 15, as ``_penalty_sum`` over one-gene rows."""
+
+    def u(self, x):
+        return benchmarks._penalty_sum(np.array([[x]]), 10.0, 100.0, 4.0)[0]
+
     def test_inside_is_free(self):
-        assert penalty_u(5.0, 10.0, 100.0, 4.0) == 0.0
+        assert self.u(5.0) == 0.0
 
     def test_above(self):
-        assert penalty_u(11.0, 10.0, 100.0, 4.0) == 100.0
+        assert self.u(11.0) == 100.0
 
     def test_below(self):
-        assert penalty_u(-12.0, 10.0, 100.0, 4.0) == 1600.0
+        assert self.u(-12.0) == 1600.0
 
     def test_positivity_and_symmetry_grid(self):
-        # Brute-force oracle over a dense grid: the penalty never rewards
-        # infeasibility and is mirror-symmetric.
-        for x in np.linspace(-25.0, 25.0, 2001):
-            u = penalty_u(float(x), 10.0, 100.0, 4.0)
-            assert u >= 0.0
-            assert u == penalty_u(float(-x), 10.0, 100.0, 4.0)
-            if abs(x) <= 10.0:
-                assert u == 0.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            penalty_u(0.0, -1.0, 100.0, 4.0)
+        # Dense grid: the penalty never rewards infeasibility and is mirror-symmetric.
+        x = np.linspace(-25.0, 25.0, 2001)[:, None]
+        u = benchmarks._penalty_sum(x, 10.0, 100.0, 4.0)
+        assert np.all(u >= 0.0)
+        assert np.array_equal(u, benchmarks._penalty_sum(-x, 10.0, 100.0, 4.0))
+        assert np.all(u[np.abs(x[:, 0]) <= 10.0] == 0.0)
 
 
 class TestRegistry:

@@ -16,7 +16,7 @@ class TestBundledConfigs:
         assert len(cfg.operators) == 6
         assert cfg.mutations == (MutationKind.NUM, MutationKind.GM)
         assert (cfg.population_size, cfg.generations, cfg.runs) == (300, 1000, 30)
-        assert cfg.crossover_rate == 0.8 and cfg.mutation_rate == 0.1
+        assert cfg.crossover.crossover_rate == 0.8 and cfg.mutation_rate == 0.1
 
     def test_experiment2_convergence_setup(self):
         cfg = parse_config(CONFIG_DIR / "experiment2.cfg")

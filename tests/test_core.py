@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from rcga.core import Bounds, clamp_to_bounds, make_rng, uniform_vector
+from rcga.core import Bounds, make_rng
 
 
 def box(lo, hi, n):
@@ -25,49 +22,6 @@ class TestBounds:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Bounds(np.zeros(2), np.ones(3))
-
-
-class TestClamp:
-    def test_projects_onto_box(self):
-        out = clamp_to_bounds(np.array([35.0, 0.0]), box(-30, 30, 2))
-        assert np.array_equal(out, [30.0, 0.0])
-
-    def test_identity_on_interior_point(self):
-        out = clamp_to_bounds(np.array([0.0, 0.0]), box(-30, 30, 2))
-        assert np.array_equal(out, [0.0, 0.0])
-
-    def test_both_faces(self):
-        out = clamp_to_bounds(np.array([-31.0, 31.0]), box(-30, 30, 2))
-        assert np.array_equal(out, [-30.0, 30.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            clamp_to_bounds(np.zeros(3), box(0, 1, 2))
-
-    @given(arrays(float, 6, elements=st.floats(-1e6, 1e6)))
-    def test_idempotent(self, x):
-        b = box(-5.12, 5.12, 6)
-        once = clamp_to_bounds(x, b)
-        assert np.array_equal(clamp_to_bounds(once, b), once)
-        assert np.all(once >= b.lower) and np.all(once <= b.upper)
-
-
-class TestUniformVector:
-    def test_range_containment(self):
-        b = box(0.0, 1.0, 50)
-        v = uniform_vector(b, make_rng(3))
-        assert np.all(v >= 0.0) and np.all(v < 1.0)
-
-    def test_same_seed_identical(self):
-        b = box(-2.0, 7.0, 8)
-        assert np.array_equal(uniform_vector(b, make_rng(11)), uniform_vector(b, make_rng(11)))
-
-    def test_law_of_large_numbers_mean(self):
-        # Analytic mean of U[-5.12, 5.12) is 0; 1e5 draws per gene.
-        b = box(-5.12, 5.12, 2)
-        rng = make_rng(99)
-        draws = np.array([uniform_vector(b, rng) for _ in range(100_000)])
-        assert np.all(np.abs(draws.mean(axis=0)) < 0.05)
 
 
 class TestRngStream:

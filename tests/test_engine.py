@@ -54,6 +54,11 @@ class TestInitState:
         b = state.config.objective.bounds
         assert np.all(state.positions >= b.lower) and np.all(state.positions < b.upper)
 
+    def test_law_of_large_numbers_mean(self):
+        # Analytic mean of U[-5.12, 5.12) is 0; 1e5 draws per gene.
+        state = init_state(config(problem=9, dimension=2, pop=100_000))
+        assert np.all(np.abs(state.positions.mean(axis=0)) < 0.05)
+
     def test_one_matrix_draw_equals_per_row_draws(self):
         # PCG64 fills a (pop, n) draw row-major, so one matrix draw replays the
         # population that per-row vector draws made from the same seed.

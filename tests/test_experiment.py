@@ -8,9 +8,11 @@ import pytest
 from rcga.cli import main
 from rcga.experiment import (
     Cell,
+    _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     analyze,
+    experiment_cells,
     format_sci,
     ga_config_for,
     load_manifest,
@@ -42,6 +44,24 @@ def write_config(path: Path, **overrides) -> Path:
     lines = [f"{k} = {v}" for k, v in base.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# Per operator key: a valid non-default value, then a value the config must reject.
+OPERATOR_VALUES = {
+    "ax_alpha": (0.3, "half"),
+    "blx_alpha": (0.25, 1),
+    "sbx_eta": (5.0, 0),
+    "laplace_a": (0.1, "none"),
+    "laplace_b": (0.3, -1),
+    "psox_w": (0.5, "w"),
+    "psox_c1": (1.2, "c1"),
+    "psox_c2": (1.7, "c2"),
+    "psox_per_gene_draws": (False, "maybe"),
+    "crossover_rate": (0.7, 1.5),
+    "gm_sigma_fraction": (0.1, 0),
+    "num_b": (3.0, 0),
+}
+OPERATOR_KEYS = sorted(key for key, (target, _) in _CONFIG_KEYS.items() if target != "experiment")
 
 
 class TestFormat:
@@ -87,10 +107,12 @@ class TestParseConfig:
         assert cfg.operators == (CrossoverKind.LAPLACE, CrossoverKind.BLX_ALPHA)
 
     def test_unknown_key_diagnostic(self, tmp_path):
-        path = write_config(tmp_path / "a.cfg")
-        path.write_text(path.read_text() + "bogus_key = 3\n")
-        with pytest.raises(ConfigError, match=r"bogus_key: unknown key"):
-            parse_config(path)
+        # The operator-config fields the harness sets per cell are not keys either.
+        for key in ("bogus_key", "kind", "per_gene_rate", "individual_rate", "crossover", "mutation"):
+            path = write_config(tmp_path / "a.cfg")
+            path.write_text(path.read_text() + f"{key} = 3\n")
+            with pytest.raises(ConfigError, match=rf"{key}: unknown key"):
+                parse_config(path)
 
     def test_bad_value_diagnostic_carries_field_path(self, tmp_path):
         path = write_config(tmp_path / "a.cfg", runs="0")
@@ -101,6 +123,28 @@ class TestParseConfig:
         path = write_config(tmp_path / "a.cfg", operators="WAT")
         with pytest.raises(ConfigError, match=r"operators: unknown operator 'WAT'"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key, value, repeat", [
+        ("problems", "1-3, 2", "problem 2"),
+        ("operators", "PSOX, LX, LAPLACE", "operator LAPLACE"),
+        ("mutations", "NUM, GM, gm", "mutation GM"),
+        ("mutation_rates", "0.5, 0.1, 0.5000001", "rate 0.5"),  # same {rate:g}, same trace file
+    ], ids=["problems", "operators", "mutations", "mutation_rates"])
+    def test_repeated_grid_entry_rejected(self, tmp_path, key, value, repeat):
+        path = write_config(tmp_path / "a.cfg", **{key: value})
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: {repeat} is listed twice"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", OPERATOR_KEYS)
+    def test_operator_key_reaches_engine_config(self, tmp_path, key):
+        good, bad = OPERATOR_VALUES[key]
+        cfg = parse_config(write_config(tmp_path / "a.cfg", **{key: good}))
+        target = _CONFIG_KEYS[key][0]
+        for cell in experiment_cells(cfg):
+            params = getattr(ga_config_for(cfg, cell, 0), target)
+            assert getattr(params, key) == good != getattr(type(params)(), key)
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}"):
+            parse_config(write_config(tmp_path / "a.cfg", **{key: bad}))
 
     def test_missing_problems_rejected(self, tmp_path):
         path = tmp_path / "a.cfg"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import StubRng
-from rcga.core import Bounds, Individual, make_rng
+from rcga.core import Bounds, make_rng
 from rcga.operators import (
     CrossoverConfig,
     CrossoverKind,
@@ -20,7 +20,6 @@ from rcga.operators import (
     psox_crossover,
     sbx_crossover,
     tournament_index,
-    tournament_select,
 )
 
 parent_pairs = st.tuples(
@@ -228,20 +227,13 @@ class TestNonuniformMutation:
             nonuniform_mutation(np.zeros(2), unit_bounds(2), 5, 4, self.cfg(), make_rng(0))
 
 
-def population(fitnesses):
-    return [Individual(position=np.array([float(i)]), fitness=f, evaluated=True)
-            for i, f in enumerate(fitnesses)]
-
-
 class TestTournament:
     def test_single_individual(self):
-        pop = population([3.0])
-        assert tournament_select(pop, 3, make_rng(0)) is pop[0]
+        assert tournament_index(np.array([3.0]), 3, make_rng(0)) == 0
 
     def test_argmin_contract_with_full_coverage(self):
-        pop = population([5.0, 1.0, 4.0, 2.0])
         rng = StubRng(ints=[np.arange(4)])
-        assert tournament_select(pop, 4, rng) is pop[1]
+        assert tournament_index(np.array([5.0, 1.0, 4.0, 2.0]), 4, rng) == 1
 
     def test_tie_broken_by_earliest_draw(self):
         fitness = np.array([2.0, 2.0, 2.0])
@@ -269,13 +261,7 @@ class TestTournament:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], 3, make_rng(0))
-
-    def test_unevaluated_rejected(self):
-        pop = population([1.0, 2.0])
-        pop[1].evaluated = False
-        with pytest.raises(ValueError):
-            tournament_select(pop, 2, make_rng(0))
+            tournament_index(np.array([]), 3, make_rng(0))
 
 
 class TestBatchedRows:
