@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from . import benchmarks, svgplot
 from .core import make_rng
 from .engine import GaConfig, RunTrace, run_ga
 from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
-from .stats import FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
+from .stats import DUNNETT_MIN_SAMPLES, FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -113,7 +114,10 @@ def _parse_problems(raw: str) -> tuple[int, ...]:
             continue
         parts = token.split("-")
         if len(parts) == 2 and all(p.strip().isdigit() for p in parts):
-            out.extend(range(int(parts[0]), int(parts[1]) + 1))
+            lo, hi = int(parts[0]), int(parts[1])
+            if lo > hi:
+                raise ValueError(f"reversed range {token}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(benchmarks.resolve_problem_id(token))
     if not out:
@@ -264,12 +268,10 @@ def parse_config(
         fail("mutation_rate", "must lie in [0, 1]")
     if not 0.0 < cfg.alpha < 1.0:
         fail("alpha", "must lie in (0, 1)")
+    if cfg.mc_samples < DUNNETT_MIN_SAMPLES:
+        fail("mc_samples", "must be at least 10^4")
     if cfg.seed < 0:
         fail("seed", "must be non-negative")
-    if not cfg.operators:
-        fail("operators", "must list at least one operator")
-    if not cfg.mutations:
-        fail("mutations", "must list at least one mutation")
     return cfg
 
 
@@ -373,19 +375,34 @@ def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_TRACE_ROW = np.dtype([("run", np.int64), ("generation", np.int64), ("best_so_far", np.float64)])
+
+
 def read_trace_csv(path: Path) -> dict[int, np.ndarray]:
-    """Per-run best-so-far curves, keyed by 1-based run id."""
-    runs: dict[int, list[float]] = {}
+    """Per-run best-so-far curves, keyed by run id.
+
+    Accepts the header ``run,generation,best_so_far`` followed by rows of an
+    integer run id, an integer generation and a float value (``INF``,
+    ``-INF`` and ``NAN`` included); empty lines are skipped. Keys follow the
+    order in which run ids first appear and each curve keeps file order.
+    Raises ``ValueError`` for any other header, a row without exactly three
+    fields, a non-integer id or generation, a non-numeric value, and a line
+    of spaces or a ``#`` comment. A header-only file gives ``{}``.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "run,generation,best_so_far":
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            run_s, _, value_s = line.strip().split(",")
-            runs.setdefault(int(run_s), []).append(float(value_s))
-    return {r: np.asarray(v) for r, v in runs.items()}
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(fh, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    order = np.argsort(table["run"], kind="stable")
+    ids, starts = np.unique(table["run"][order], return_index=True)
+    curves = np.split(table["best_so_far"][order], starts[1:])
+    return {int(ids[i]): curves[i] for i in np.argsort(order[starts])}
 
 
 def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], statuses: dict[int, str]) -> dict:

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f"]
 
 WIDTH, HEIGHT = 760, 480
@@ -23,10 +25,6 @@ class Series:
     x: Sequence[float]
     mean: Sequence[float]
     std: Sequence[float]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def _nice_step(span: float) -> float:
@@ -57,6 +55,11 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """SVG ``points`` text: "x,y" pairs to two decimals, space-separated."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+
+
 def _tick_label(v: float, log: bool) -> str:
     if log:
         return f"1e{int(round(math.log10(v)))}"
@@ -80,19 +83,22 @@ class _Panel:
         self.body: list[str] = []
         self._chrome(title, x_label, y_label)
 
-    def x_pix(self, x: float) -> float:
+    def x_pix(self, x):
+        """Pixel column of a data x, a number or an array of them."""
         frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def y_pix(self, y: float) -> float:
-        v = math.log10(y) if self.log_y else y
+    def y_pix(self, y):
+        """Pixel row of a data y, a number or an array of them."""
+        v = np.log10(y) if self.log_y else y
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    def clamp_y(self, y: float) -> float:
+    def clamp_y(self, y: np.ndarray) -> np.ndarray:
+        """On a log axis, values below the axis floor are raised to it."""
         if self.log_y:
             floor = 10.0**self.y_lo
-            return floor if y < floor else y
+            return np.where(y < floor, floor, y)
         return y
 
     def _chrome(self, title, x_label, y_label):
@@ -133,11 +139,13 @@ class _Panel:
             )
 
     def add_series(self, s: Series, color: str):
-        pts_hi = [(self.x_pix(x), self.y_pix(self.clamp_y(m + sd))) for x, m, sd in zip(s.x, s.mean, s.std)]
-        pts_lo = [(self.x_pix(x), self.y_pix(self.clamp_y(m - sd))) for x, m, sd in zip(s.x, s.mean, s.std)]
-        band = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts_hi + pts_lo[::-1])
+        px = self.x_pix(np.asarray(s.x))
+        mean, std = np.asarray(s.mean, dtype=float), np.asarray(s.std, dtype=float)
+        hi = self.y_pix(self.clamp_y(mean + std))
+        lo = self.y_pix(self.clamp_y(mean - std))
+        band = _points(np.concatenate([px, px[::-1]]), np.concatenate([hi, lo[::-1]]))
         self.body.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        line = " ".join(f"{self.x_pix(x):.2f},{self.y_pix(self.clamp_y(m)):.2f}" for x, m in zip(s.x, s.mean))
+        line = _points(px, self.y_pix(self.clamp_y(mean)))
         self.body.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.6"/>')
 
     def add_legend(self, labels_colors):
@@ -161,21 +169,18 @@ def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series
     """Render one chart; log vertical axis iff every plotted value is positive."""
     if not series:
         raise ValueError("render_panel: no series to plot")
-    log_y = all(m > 0.0 for s in series for m in s.mean)
+    mean = np.concatenate([np.asarray(s.mean, dtype=float) for s in series])
+    std = np.concatenate([np.asarray(s.std, dtype=float) for s in series])
+    log_y = bool(np.all(mean > 0.0))
     if log_y:
         # Band edges at or below zero are clamped to the axis floor.
-        vals = [
-            v
-            for s in series
-            for m, sd in zip(s.mean, s.std)
-            for v in (m, m - sd, m + sd)
-            if v > 0.0
-        ]
+        vals = np.concatenate([mean, mean - std, mean + std])
+        vals = vals[vals > 0.0]
     else:
-        vals = [v for s in series for m, sd in zip(s.mean, s.std) for v in (m - sd, m + sd)]
-    y_lo, y_hi = min(vals), max(vals)
-    xs = [x for s in series for x in s.x]
-    panel = _Panel(title, x_label, y_label, min(xs), max(xs), y_lo, y_hi, log_y)
+        vals = np.concatenate([mean - std, mean + std])
+    xs = np.concatenate([np.asarray(s.x) for s in series])
+    # NaN band edges (the std of runs that reach inf is NaN) do not set the axis.
+    panel = _Panel(title, x_label, y_label, xs.min(), xs.max(), np.nanmin(vals), np.nanmax(vals), log_y)
     colors = []
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rcga.cli import main
+from rcga.engine import RunTrace
 from rcga.experiment import (
     Cell,
     _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
+    _write_trace_csv,
     analyze,
     experiment_cells,
     format_sci,
@@ -124,6 +126,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"operators: unknown operator 'WAT'"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, what", [("operators", "operator"), ("mutations", "mutation")])
+    def test_empty_grid_list_diagnostic(self, tmp_path, key, what):
+        path = write_config(tmp_path / "a.cfg", **{key: ""})
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: unknown {what} ''"):
+            parse_config(path)
+
+    def test_reversed_problem_range_rejected(self, tmp_path):
+        path = write_config(tmp_path / "a.cfg", problems="5-3, 9")
+        with pytest.raises(ConfigError, match=r"a\.cfg: problems: reversed range 5-3"):
+            parse_config(path)
+
+    def test_mc_samples_below_dunnett_floor_rejected(self, tmp_path):
+        assert parse_config(write_config(tmp_path / "a.cfg", mc_samples=10_000)).mc_samples == 10_000
+        path = write_config(tmp_path / "a.cfg", mc_samples=9_999)
+        with pytest.raises(ConfigError, match=r"a\.cfg: mc_samples: must be at least 10\^4"):
+            parse_config(path)
+
     @pytest.mark.parametrize("key, value, repeat", [
         ("problems", "1-3, 2", "problem 2"),
         ("operators", "PSOX, LX, LAPLACE", "operator LAPLACE"),
@@ -199,6 +218,66 @@ class TestRunExperiment:
         par = run_experiment(write_config(tmp_path / "b.cfg", output_dir=tmp_path / "par", workers=2))
         for f in sorted(seq.glob("*.csv")):
             assert f.read_bytes() == (par / f.name).read_bytes()
+
+
+def trace(values) -> RunTrace:
+    return RunTrace(np.asarray(values, dtype=float), np.zeros(2), float(values[-1]), len(values))
+
+
+class TestReadTraceCsv:
+    HEADER = "run,generation,best_so_far\n"
+
+    def read(self, tmp_path, body: str):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + body)
+        return read_trace_csv(path)
+
+    def test_roundtrip_with_non_finite_values(self, tmp_path):
+        curves = [[np.inf, 3.5, -1.25e-300], [np.nan, -np.inf, 0.0, 2.0]]
+        path = tmp_path / "t.csv"
+        _write_trace_csv(path, [trace(c) for c in curves])
+        assert {"INF", "-INF", "NAN"} <= set(path.read_text().replace("\n", ",").split(","))
+        runs = read_trace_csv(path)
+        assert list(runs) == [1, 2]
+        for got, want in zip(runs.values(), curves):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+    def test_header_only_file_is_empty_without_warning(self, tmp_path, recwarn):
+        assert self.read(tmp_path, "") == {}
+        assert self.read(tmp_path, "\n\n") == {}
+        assert len(recwarn) == 0
+
+    def test_empty_lines_are_skipped(self, tmp_path):
+        runs = self.read(tmp_path, "1,1,5\n\n1,2,4\n\n\n2,1,7\n")
+        assert {r: c.tolist() for r, c in runs.items()} == {1: [5.0, 4.0], 2: [7.0]}
+
+    def test_interleaved_runs_keep_first_appearance_and_file_order(self, tmp_path):
+        runs = self.read(tmp_path, "3,1,9\n1,1,8\n3,2,7\n2,1,6\n1,2,5\n3,3,4\n")
+        assert list(runs) == [3, 1, 2]
+        assert {r: c.tolist() for r, c in runs.items()} == {3: [9.0, 7.0, 4.0], 1: [8.0, 5.0], 2: [6.0]}
+
+    def test_single_row(self, tmp_path):
+        assert {r: c.tolist() for r, c in self.read(tmp_path, "4,1,2.5E+00\n").items()} == {4: [2.5]}
+
+    @pytest.mark.parametrize("text", [
+        "run,gen,best_so_far\n1,1,2\n",
+        "1,1\n",
+        "1,1,2\n1,2\n",
+        "1,1,2,3\n",
+        "1,1,2\n1,2,3,4\n",
+        "1.5,1,2\n",
+        "one,1,2\n",
+        "1,1,two\n",
+        "1,1,2\n   \n",
+        "# note\n1,1,2\n",
+    ], ids=["header", "two_fields", "short_row", "four_fields", "long_row", "fractional_run",
+            "word_run", "word_value", "spaces_line", "comment"])
+    def test_malformed_input_rejected(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text if text.startswith("run,") else self.HEADER + text)
+        with pytest.raises(ValueError, match=r"t\.csv: "):
+            read_trace_csv(path)
 
 
 class TestAnalyze:
