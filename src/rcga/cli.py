@@ -7,9 +7,11 @@ Subcommands:
     sweep <config> [--scale paper|desk]    mutation-rate sweep (PSOX-GM)
     list-benchmarks                        registry overview
 
-Worker count comes from the config's ``workers`` key, overridden by the
-RCGA_WORKERS environment variable. Exit status is 0 on success, 2 on bad
-configs/usage, 1 on runtime failure.
+``run`` and ``sweep`` write each cell's trace CSV as soon as the cell's runs
+finish, and the bundle manifest at the end. Worker count comes from the
+config's ``workers`` key, overridden by the RCGA_WORKERS environment
+variable; both take an integer >= 0, where 0 means the logical CPU count.
+Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 """
 from __future__ import annotations
 
@@ -36,24 +38,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--scale", choices=["paper", "desk"], help="override the config's scale preset")
     p_run.add_argument("--output-dir", type=Path, help="override the bundle directory")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="summaries plus Kruskal-Wallis and Dunnett tables")
     p_an.add_argument("bundle", type=Path)
     p_an.add_argument("--control", default="PSOX", help="control operator for the post-hoc test")
     p_an.add_argument("--alpha", type=float, default=None, help="significance level (default: manifest)")
     p_an.add_argument("--paper-format", action="store_true", help="2 significant digits in the CSVs")
+    p_an.set_defaults(handler=_cmd_analyze)
 
     p_plot = sub.add_parser("plot", help="convergence panels (SVG) from a bundle")
     p_plot.add_argument("bundle", type=Path)
     p_plot.add_argument("--problems", help="comma-separated problem ids (default: all in bundle)")
     p_plot.add_argument("--output", type=Path, help="directory for the SVG files")
+    p_plot.set_defaults(handler=_cmd_plot)
 
     p_sweep = sub.add_parser("sweep", help="mutation-rate sweep with the PSOX-GM configuration")
     p_sweep.add_argument("config", type=Path)
     p_sweep.add_argument("--scale", choices=["paper", "desk"])
     p_sweep.add_argument("--output-dir", type=Path)
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
-    sub.add_parser("list-benchmarks", help="show the benchmark registry")
+    p_list = sub.add_parser("list-benchmarks", help="show the benchmark registry")
+    p_list.set_defaults(handler=_cmd_list_benchmarks)
     return parser
 
 
@@ -107,7 +114,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_list_benchmarks() -> int:
+def _cmd_list_benchmarks(args) -> int:
     print(f"{'id':>3}  {'name':<34} {'bounds':<20} {'f* (n=30)':<14} {'landscape'}")
     for pid in sorted(benchmarks.REGISTRY):
         e = benchmarks.REGISTRY[pid]
@@ -126,17 +133,7 @@ def _cmd_list_benchmarks() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "list-benchmarks":
-            return _cmd_list_benchmarks()
-        return 2
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,11 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -272,6 +274,8 @@ def parse_config(
         fail("mc_samples", "must be at least 10^4")
     if cfg.seed < 0:
         fail("seed", "must be non-negative")
+    if cfg.workers < 0:
+        fail("workers", "must be >= 0")
     return cfg
 
 
@@ -324,47 +328,39 @@ def ga_config_for(cfg: ExperimentConfig, cell: Cell, run_index: int) -> GaConfig
 
 
 def resolve_workers(cfg_workers: int) -> int:
-    env = os.environ.get("RCGA_WORKERS")
+    """Worker count: ``RCGA_WORKERS`` when set, else the ``workers`` key.
+
+    Both take an integer >= 0, and 0 means the logical CPU count.
+    """
+    env = os.environ.get("RCGA_WORKERS", "").strip()
     if env:
-        return max(1, int(env))
-    if cfg_workers > 0:
-        return cfg_workers
-    return os.cpu_count() or 1
+        if not env.isdecimal():
+            raise ConfigError(f"RCGA_WORKERS: must be an integer >= 0, got {env!r}")
+        cfg_workers = int(env)
+    return cfg_workers or os.cpu_count() or 1
 
 
-def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]):
-    """Execute runs x cells; returns {cell_index: list[RunTrace] | error str}."""
-    workers = resolve_workers(cfg.workers)
+def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]) -> Iterator[tuple[Cell, list[RunTrace] | str]]:
+    """Execute runs x cells; yields ``(cell, list[RunTrace] | error str)`` in
+    cell order, each as soon as the cell's last run is in.
+
+    One worker runs every job on the calling thread; more submit one pool
+    future per (cell, run). A failed cell keeps its first failing run's error.
+    """
     jobs = [(cell, r) for cell in cells for r in range(cfg.runs)]
-    results: dict[int, dict[int, RunTrace]] = {c.index: {} for c in cells}
-    errors: dict[int, str] = {}
-
-    if workers == 1 or len(jobs) == 1:
-        for cell, r in jobs:
+    workers = min(resolve_workers(cfg.workers), len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        configs = [ga_config_for(cfg, cell, r) for cell, r in jobs]
+        calls = [pool.submit(run_ga, c).result if pool else partial(run_ga, c) for c in configs]
+        traces, error = [], None
+        for (cell, r), call in zip(jobs, calls):
             try:
-                results[cell.index][r] = run_ga(ga_config_for(cfg, cell, r))
+                traces.append(call())
             except Exception as exc:  # noqa: BLE001 - cell isolation
-                errors.setdefault(cell.index, f"run {r + 1}: {exc}")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(run_ga, ga_config_for(cfg, cell, r)): (cell.index, r)
-                for cell, r in jobs
-            }
-            for future, (cell_index, r) in futures.items():
-                try:
-                    results[cell_index][r] = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    errors.setdefault(cell_index, f"run {r + 1}: {exc}")
-
-    traces = {}
-    for cell in cells:
-        if cell.index in errors:
-            traces[cell.index] = errors[cell.index]
-        else:
-            per_run = results[cell.index]
-            traces[cell.index] = [per_run[r] for r in range(cfg.runs)]
-    return traces
+                error = error or f"run {r + 1}: {exc}"
+            if r == cfg.runs - 1:
+                yield cell, error or traces
+                traces, error = [], None
 
 
 def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> None:
@@ -441,12 +437,11 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], s
 
 
 def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell]) -> Path:
+    """Write each cell's trace CSV as the cell finishes, then the manifest."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    traces = _run_cells(cfg, cells)
     statuses = {}
-    for cell in cells:
-        payload = traces[cell.index]
+    for cell, payload in _run_cells(cfg, cells):
         if isinstance(payload, str):
             statuses[cell.index] = f"failed: {payload}"
         else:
@@ -483,17 +478,25 @@ def load_manifest(bundle_dir: Path | str) -> dict:
     return json.loads(path.read_text())
 
 
-def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
-    """Final best objective per run for one ok cell, or None if unusable."""
+def _cell_curves(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
+    """One manifest cell's ``(runs, generations)`` best-so-far matrix in run-id
+    order, or None if the cell is not ``ok``, its trace file is missing or
+    empty, or its runs differ in length."""
     if cell["status"] != "ok":
         return None
     path = Path(bundle_dir) / cell["file"]
     if not path.is_file():
         return None
     runs = read_trace_csv(path)
-    if not runs or any(curve.size == 0 for curve in runs.values()):
+    if not runs or len({curve.size for curve in runs.values()}) > 1:
         return None
-    return np.array([runs[r][-1] for r in sorted(runs)])
+    return np.vstack([runs[r] for r in sorted(runs)])
+
+
+def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
+    """Final best objective per run for one ok cell, or None if unusable."""
+    curves = _cell_curves(bundle_dir, cell)
+    return None if curves is None else curves[:, -1].copy()  # a view would keep the whole matrix alive
 
 
 @dataclass
@@ -612,12 +615,11 @@ def plot_convergence(
     for problem in wanted:
         series = []
         for cell in manifest["cells"]:
-            if cell["problem"] != problem or cell["status"] != "ok":
+            if cell["problem"] != problem:
                 continue
-            runs = read_trace_csv(bundle_dir / cell["file"])
-            if not runs:
+            curves = _cell_curves(bundle_dir, cell)
+            if curves is None:
                 continue
-            curves = np.vstack([runs[r] for r in sorted(runs)])
             gens = np.arange(1, curves.shape[1] + 1)
             mean = curves.mean(axis=0)
             std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from .core import RngStream
 
@@ -93,16 +93,7 @@ def rank_with_ties(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("rank_with_ties: empty input")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return rankdata(v, method="average")
 
 
 def kw_method(sizes: Sequence[int]) -> str:

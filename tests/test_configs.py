@@ -1,6 +1,10 @@
 """The bundled config files and failure isolation in the run grid."""
+import multiprocessing
+import os
 import time
 from pathlib import Path
+
+import pytest
 
 from rcga import benchmarks
 from rcga.experiment import load_manifest, parse_config, read_trace_csv, run_experiment
@@ -47,8 +51,25 @@ class TestBundledConfigs:
         assert cfg.problems == (9, 1)
 
 
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patched objective only when forked",
+)
+
+
+def failure_config(tmp_path: Path, workers: int, problems: str, out: str) -> Path:
+    path = tmp_path / f"{out}.cfg"
+    path.write_text(
+        f"problems = {problems}\noperators = PSOX\nmutations = GM\n"
+        f"population_size = 10\ngenerations = 3\nruns = 2\nworkers = {workers}\n"
+        f"dimension = 4\nseed = 5\noutput_dir = {tmp_path / out}\n"
+    )
+    return path
+
+
 class TestFailureIsolation:
-    def test_failed_cell_does_not_poison_bundle(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_failed_cell_does_not_poison_bundle(self, tmp_path, monkeypatch, workers):
         real = benchmarks.batch_eval
 
         def flaky(problem_id, X, rng=None):
@@ -57,16 +78,34 @@ class TestFailureIsolation:
             return real(problem_id, X, rng=rng)
 
         monkeypatch.setattr("rcga.engine.benchmarks.batch_eval", flaky)
-        path = tmp_path / "c.cfg"
-        path.write_text(
-            "problems = 9, 6\noperators = PSOX\nmutations = GM\n"
-            "population_size = 10\ngenerations = 3\nruns = 2\nworkers = 1\n"
-            f"dimension = 4\nseed = 5\noutput_dir = {tmp_path / 'b'}\n"
-        )
-        bundle = run_experiment(path)
+        bundle = run_experiment(failure_config(tmp_path, workers, "9, 6", "b"))
         manifest = load_manifest(bundle)
         by_problem = {c["problem"]: c for c in manifest["cells"]}
         assert by_problem[9]["status"] == "ok"
-        assert by_problem[6]["status"].startswith("failed:")
+        assert by_problem[6]["status"] == "failed: run 1: synthetic evaluation failure"
         assert (bundle / by_problem[9]["file"]).is_file()
         assert not (bundle / by_problem[6]["file"]).exists()
+
+    @needs_fork
+    def test_crashed_worker_keeps_finished_cells(self, tmp_path, monkeypatch):
+        reference = run_experiment(failure_config(tmp_path, 1, "9, 6, 1, 12", "ref"))
+        real = benchmarks.batch_eval
+        test_pid = os.getpid()
+
+        def crashing(problem_id, X, rng=None):
+            if problem_id == 6:
+                if os.getpid() == test_pid:
+                    raise AssertionError("the crash must happen in a pool worker")
+                os._exit(3)
+            return real(problem_id, X, rng=rng)
+
+        monkeypatch.setattr("rcga.engine.benchmarks.batch_eval", crashing)
+        bundle = run_experiment(failure_config(tmp_path, 2, "9, 6, 1, 12", "b"))
+        manifest = load_manifest(bundle)
+        for cell in manifest["cells"]:
+            path = bundle / cell["file"]
+            if cell["problem"] == 6 or cell["status"] != "ok":
+                assert cell["status"].startswith("failed: run ")
+                assert not path.exists()
+            else:
+                assert path.read_bytes() == (reference / cell["file"]).read_bytes()

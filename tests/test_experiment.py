@@ -1,4 +1,5 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from rcga.experiment import (
     _write_trace_csv,
     analyze,
     experiment_cells,
+    final_bests,
     format_sci,
     ga_config_for,
     load_manifest,
@@ -22,6 +24,7 @@ from rcga.experiment import (
     parse_config,
     plot_convergence,
     read_trace_csv,
+    resolve_workers,
     run_experiment,
 )
 from rcga.operators import CrossoverKind, MutationKind
@@ -192,6 +195,17 @@ class TestSeedDerivation:
         assert ga.mutation.per_gene_rate == pytest.approx(0.1 / 30)
 
 
+class TestResolveWorkers:
+    def test_key_and_environment_values(self, monkeypatch):
+        monkeypatch.delenv("RCGA_WORKERS", raising=False)
+        assert resolve_workers(3) == 3
+        assert resolve_workers(0) == (os.cpu_count() or 1)
+        monkeypatch.setenv("RCGA_WORKERS", "2")
+        assert resolve_workers(3) == 2
+        monkeypatch.setenv("RCGA_WORKERS", "0")
+        assert resolve_workers(3) == (os.cpu_count() or 1)
+
+
 class TestRunExperiment:
     def test_smoke_bundle_layout(self, tmp_path):
         bundle = run_experiment(write_config(tmp_path / "a.cfg"))
@@ -346,6 +360,10 @@ class TestAnalyze:
         for csv in bundle.glob("*.csv"):
             assert csv.read_text().endswith("\n")
 
+    def test_runs_of_unequal_length_make_a_cell_unusable(self, tmp_path):
+        (tmp_path / "t.csv").write_text("run,generation,best_so_far\n1,1,2.0\n1,2,1.0\n2,1,3.0\n")
+        assert final_bests(tmp_path, {"status": "ok", "file": "t.csv"}) is None
+
     def test_requires_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             analyze(tmp_path)
@@ -417,6 +435,33 @@ class TestCli:
     def test_missing_bundle_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workers, env, message",
+        [
+            (-3, "", "a.cfg: workers: must be >= 0"),
+            (1, "abc", "RCGA_WORKERS: must be an integer >= 0, got 'abc'"),
+            (1, "-1", "RCGA_WORKERS: must be an integer >= 0, got '-1'"),
+        ],
+        ids=["key_negative", "env_word", "env_negative"],
+    )
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers, env, message):
+        monkeypatch.setenv("RCGA_WORKERS", env)
+        assert main(["run", str(write_config(tmp_path / "a.cfg", workers=workers))]) == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "bundle").glob("*"))
+
+    def test_lost_trace_file_is_skipped_by_analyze_and_plot(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path / "a.cfg", runs=4))]) == 0
+        bundle = tmp_path / "bundle"
+        lost, kept = load_manifest(bundle)["cells"]
+        (bundle / lost["file"]).unlink()
+        assert main(["analyze", str(bundle)]) == 0
+        assert main(["plot", str(bundle)]) == 0
+        rows = (bundle / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] == "-" for row in rows] == [True, False]
+        svg = (bundle / "convergence_p09.svg").read_text()
+        assert kept["label"] in svg and lost["label"] not in svg
 
     def test_list_benchmarks(self, capsys):
         assert main(["list-benchmarks"]) == 0
