@@ -210,11 +210,7 @@ def benchmark_spec(problem_id: int, dimension: int = 30) -> ObjectiveSpec:
         raise ValueError(f"problem {problem_id}: invalid dimension {dimension}")
     return ObjectiveSpec(
         problem_id=problem_id,
-        name=entry.name,
-        dimension=dimension,
         bounds=Bounds.uniform(entry.lower, entry.upper, dimension),
         optimum_location=entry.optimum(dimension),
         optimum_value=float(entry.optimum_value(dimension)),
-        noisy=entry.noisy,
-        multimodal=entry.multimodal,
     )

@@ -16,6 +16,7 @@ Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="convergence panels (SVG) from a bundle")
     p_plot.add_argument("bundle", type=Path)
-    p_plot.add_argument("--problems", help="comma-separated problem ids (default: all in bundle)")
+    p_plot.add_argument("--problems", type=_problem_ids, help="comma-separated problem ids (default: all in bundle)")
     p_plot.add_argument("--output", type=Path, help="directory for the SVG files")
     p_plot.set_defaults(handler=_cmd_plot)
 
@@ -65,12 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "scale", None):
-        out["scale"] = args.scale
-    if getattr(args, "output_dir", None):
-        out["output_dir"] = str(args.output_dir)
-    return out
+    """The ``run``/``sweep`` flags as config overrides; ``parse_config`` skips the unset (None) ones."""
+    return {"scale": args.scale, "output_dir": args.output_dir}
 
 
 def _cmd_run(args) -> int:
@@ -98,11 +95,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _problem_ids(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
 def _cmd_plot(args) -> int:
-    problems = None
-    if args.problems:
-        problems = [int(tok) for tok in args.problems.split(",") if tok.strip()]
-    written = plot_convergence(args.bundle, problems=problems, output=args.output)
+    written = plot_convergence(args.bundle, problems=args.problems, output=args.output)
     for path in written:
         print(path)
     return 0
@@ -133,13 +131,18 @@ def _cmd_list_benchmarks(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not in the flush at interpreter exit
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # send what is still buffered to devnull, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

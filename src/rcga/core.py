@@ -54,17 +54,13 @@ class Bounds:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Identity and metadata of one benchmark problem instance.
+    """One benchmark problem instance: its id, box bounds and optimum.
 
     ``optimum_location`` is the best known minimizer; for the noisy problem the
     registered ``optimum_value`` is the expected objective at that point.
     """
 
     problem_id: int
-    name: str
-    dimension: int
     bounds: Bounds
     optimum_location: np.ndarray
     optimum_value: float
-    noisy: bool = False
-    multimodal: bool = False

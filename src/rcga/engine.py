@@ -8,9 +8,8 @@ trace) but only PSOX reads it during variation.
 
 Each generation is a handful of matrix operations, and its draw order is
 fixed: the crossover-rate mask, every tournament, the PSOX partners or the
-operator's draws, the mutation draws, the optional per-individual mutation
-gate, then evaluation noise. Identical config and seed therefore replay
-bit-identical runs.
+operator's draws, the mutation draws, then evaluation noise. Identical config
+and seed therefore replay bit-identical runs.
 """
 from __future__ import annotations
 
@@ -190,14 +189,11 @@ def step_generation(state: GaState, psox_audit: Optional[Callable[[int, int], No
             else:
                 children[cross] = blx_alpha_crossover(p1, p2, xo.blx_alpha, rng)
 
-    clamped = np.clip(children, bounds.lower, bounds.upper)
+    children = np.clip(children, bounds.lower, bounds.upper)
     if mcfg.kind is MutationKind.GM:
-        children = gaussian_mutation(clamped, bounds, mcfg, rng)
+        children = gaussian_mutation(children, bounds, mcfg, rng)
     else:
-        children = nonuniform_mutation(clamped, bounds, next_gen, max(cfg.generations, 1), mcfg, rng)
-    if mcfg.individual_rate < 1.0:
-        gate = rng.random(pop) < mcfg.individual_rate
-        children = np.where(gate[:, None], children, clamped)
+        children = nonuniform_mutation(children, bounds, next_gen, max(cfg.generations, 1), mcfg, rng)
 
     fitness = _evaluate(cfg, children, rng)
     state.evaluations += pop

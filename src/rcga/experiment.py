@@ -13,6 +13,7 @@ convergence the operator comparisons rely on; see README.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -175,8 +176,7 @@ def _config_keys() -> dict:
 
     The operator keys are the fields of ``CrossoverConfig`` and
     ``MutationConfig``; the harness sets ``kind`` and ``per_gene_rate`` per
-    cell and leaves ``individual_rate`` at its default. Other values are
-    parsed by the type of the field's default.
+    cell. Other values are parsed by the type of the field's default.
     """
     special = {
         "problems": _parse_problems,
@@ -188,7 +188,7 @@ def _config_keys() -> dict:
     for target, cls, skip in (
         ("experiment", ExperimentConfig, {"name", "crossover", "mutation"}),
         ("crossover", CrossoverConfig, {"kind"}),
-        ("mutation", MutationConfig, {"kind", "per_gene_rate", "individual_rate"}),
+        ("mutation", MutationConfig, {"kind", "per_gene_rate"}),
     ):
         for f in fields(cls):
             if f.name not in skip:
@@ -272,6 +272,10 @@ def parse_config(
         fail("alpha", "must lie in (0, 1)")
     if cfg.mc_samples < DUNNETT_MIN_SAMPLES:
         fail("mc_samples", "must be at least 10^4")
+    if cfg.selection_k < 1:
+        fail("selection_k", "must be >= 1")
+    if not 0 <= cfg.elitism <= cfg.population_size:
+        fail("elitism", "must lie in [0, population_size]")
     if cfg.seed < 0:
         fail("seed", "must be non-negative")
     if cfg.workers < 0:
@@ -452,19 +456,16 @@ def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell]) -> 
     return out
 
 
-def experiment_cells(cfg: ExperimentConfig) -> list[Cell]:
-    cells = []
-    for problem in cfg.problems:
-        for op in cfg.operators:
-            for mut in cfg.mutations:
-                cells.append(Cell(index=len(cells), problem=problem, operator=op, mutation=mut))
-    return cells
+def experiment_cells(problems, operators, mutations, rates=(None,)) -> list[Cell]:
+    """The grid's cells in ``itertools.product`` order, indexed from 0; a sweep passes its rates."""
+    grid = itertools.product(problems, operators, mutations, rates)
+    return [Cell(index, *axes) for index, axes in enumerate(grid)]
 
 
 def run_experiment(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """Execute the full grid of a config file; returns the bundle directory."""
     cfg = parse_config(config_path, overrides)
-    return _persist_bundle(cfg, "experiment", experiment_cells(cfg))
+    return _persist_bundle(cfg, "experiment", experiment_cells(cfg.problems, cfg.operators, cfg.mutations))
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +520,15 @@ def analyze(
     groups; ``control_label`` names the control operator. Blocks lacking the
     control, with fewer than two usable groups, or with single-run cells keep
     their test columns dashed. Results depend only on the bundle contents,
-    alpha and the manifest's Monte Carlo seed.
+    alpha and the manifest's Monte Carlo seed. An alpha outside (0, 1) or a
+    control the bundle lacks raises ``ConfigError`` before anything is written.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
     if alpha is None:
         alpha = float(manifest.get("alpha", 0.05))
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha: must lie in (0, 1), got {alpha:g}")
     control_label = control_label.upper()
     if control_label in OPERATOR_ALIASES:
         control_label = OPERATOR_ALIASES[control_label].value
@@ -533,6 +537,8 @@ def analyze(
     problems = sorted({c["problem"] for c in cells})
     mutations = list(dict.fromkeys(c["mutation"] for c in cells))
     operators = list(dict.fromkeys(c["operator"] for c in cells))
+    if control_label not in operators:
+        raise ConfigError(f"control: {control_label} is not an operator of this bundle; it has {', '.join(operators)}")
 
     analyses: list[ProblemAnalysis] = []
     block_index = 0
@@ -645,21 +651,11 @@ def plot_convergence(
 SWEEP_DEFAULTS = {"problems": "4,5,7,11", "population_size": "100", "generations": "100"}
 
 
-def sweep_cells(cfg: ExperimentConfig) -> list[Cell]:
-    cells = []
-    for problem in cfg.problems:
-        for rate in cfg.mutation_rates:
-            cells.append(
-                Cell(index=len(cells), problem=problem, operator=CrossoverKind.PSOX,
-                     mutation=MutationKind.GM, rate=rate)
-            )
-    return cells
-
-
 def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """PSOX-GM runs across the configured mutation rates; emits sweep.csv and panels."""
     cfg = parse_config(config_path, overrides, defaults=SWEEP_DEFAULTS)
-    out = _persist_bundle(cfg, "sweep", sweep_cells(cfg))
+    cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
+    out = _persist_bundle(cfg, "sweep", cells)
     manifest = load_manifest(out)
 
     lines = ["rate,problem,mean,std"]

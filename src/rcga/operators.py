@@ -61,7 +61,6 @@ class CrossoverConfig:
     psox_w: float = 0.6
     psox_c1: float = 1.5
     psox_c2: float = 1.5
-    psox_per_gene_draws: bool = True
     crossover_rate: float = 0.8
 
     def __post_init__(self):
@@ -77,25 +76,21 @@ class CrossoverConfig:
 
 @dataclass(frozen=True)
 class MutationConfig:
-    """Mutation selection and rates.
+    """Mutation selection, per-gene rate and step parameters.
 
-    ``per_gene_rate`` is the plain per-gene perturbation probability;
-    ``individual_rate`` optionally gates whether a chromosome is mutated at
-    all (1.0 = no gate). The experiment harness maps its chromosome-level
-    mutation-rate knob to ``per_gene_rate = rate / dimension``.
+    ``per_gene_rate`` is the plain per-gene perturbation probability. The
+    experiment harness maps its chromosome-level mutation-rate knob to
+    ``per_gene_rate = rate / dimension``.
     """
 
     kind: MutationKind = MutationKind.GM
     per_gene_rate: float = 0.1
     gm_sigma_fraction: float = 0.05
     num_b: float = 5.0
-    individual_rate: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.per_gene_rate <= 1.0:
             raise ValueError("per_gene_rate must lie in [0, 1]")
-        if not 0.0 <= self.individual_rate <= 1.0:
-            raise ValueError("individual_rate must lie in [0, 1]")
         if self.gm_sigma_fraction <= 0.0:
             raise ValueError("gm_sigma_fraction must be positive")
         if self.num_b <= 0.0:
@@ -175,15 +170,12 @@ def psox_crossover(
     """PSO-inspired crossover pulling p_i toward another slot's best and the global best.
 
     The caller guarantees pbest_j belongs to a slot other than p_i's own.
-    r1 and r2 are redrawn per gene unless ``cfg.psox_per_gene_draws`` is off,
-    in which case a single pair per row steers that whole chromosome. ``gbest``
-    may be one vector shared by every row of a matrix call.
+    ``gbest`` may be one vector shared by every row of a matrix call.
     """
     _check_pair(p_i, pbest_j, "psox_crossover")
     _check_pair(p_i, gbest, "psox_crossover")
-    shape = p_i.shape if cfg.psox_per_gene_draws else p_i.shape[:-1] + (1,)
-    r1 = rng.random(shape)
-    r2 = rng.random(shape)
+    r1 = rng.random(p_i.shape)
+    r2 = rng.random(p_i.shape)
     return cfg.psox_w * p_i + cfg.psox_c1 * r1 * (pbest_j - p_i) + cfg.psox_c2 * r2 * (gbest - p_i)
 
 
@@ -219,14 +211,11 @@ def nonuniform_mutation(
     return np.clip(np.where(hit, x + delta, x), b.lower, b.upper)
 
 
-def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int | None = None):
-    """Index of the fittest among k uniform-with-replacement draws; earliest draw wins ties.
-
-    With ``size`` set, runs ``size`` tournaments from one ``(size, k)`` draw; returns their winners."""
+def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int) -> np.ndarray:
+    """Winners of ``size`` tournaments of k uniform-with-replacement draws; the earliest draw wins ties."""
     if fitness.size == 0:
         raise ValueError("tournament: population is empty")
     if k < 1:
         raise ValueError("tournament: k must be at least 1")
-    picks = rng.integers(0, fitness.size, size=(1 if size is None else size, k))
-    winners = picks[np.arange(picks.shape[0]), np.argmin(fitness[picks], axis=1)]
-    return int(winners[0]) if size is None else winners
+    picks = rng.integers(0, fitness.size, size=(size, k))
+    return picks[np.arange(size), np.argmin(fitness[picks], axis=1)]

@@ -54,13 +54,6 @@ class SampleGroup:
 
 
 @dataclass(frozen=True)
-class GroupSummary:
-    label: str
-    mean: float
-    std: float
-
-
-@dataclass(frozen=True)
 class DunnettOutcome:
     label: str
     p_value: Optional[float]  # None when the omnibus test did not fire
@@ -69,8 +62,6 @@ class DunnettOutcome:
 
 @dataclass(frozen=True)
 class StatReport:
-    groups: tuple[GroupSummary, ...]
-    control_label: str
     kw_h: float
     kw_p: float
     kw_method: str  # KW_EXACT or KW_CHI2: how kw_p was computed
@@ -286,7 +277,6 @@ def build_report(
     control = groups[labels.index(control_label)]
     treatments = [g for g in groups if g.label != control_label]
 
-    summaries = tuple(GroupSummary(g.label, *summarize(g.values)) for g in groups)
     kw_h, kw_p, kw_flag = kruskal_wallis(groups, alpha)
 
     if kw_flag == FLAG_SIGNIFICANT:
@@ -296,8 +286,6 @@ def build_report(
         dunnett = tuple(DunnettOutcome(t.label, None, FLAG_NOT_RUN) for t in treatments)
 
     return StatReport(
-        groups=summaries,
-        control_label=control_label,
         kw_h=kw_h,
         kw_p=kw_p,
         kw_method=kw_method([g.values.size for g in groups]),

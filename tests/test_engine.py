@@ -18,14 +18,13 @@ def config(
     crossover_rate=0.8,
     per_gene_rate=0.1,
     elitism=1,
-    individual_rate=1.0,
 ):
     return GaConfig(
         objective=benchmarks.benchmark_spec(problem, dimension=dimension),
         population_size=pop,
         generations=gens,
         crossover=CrossoverConfig(kind=kind, crossover_rate=crossover_rate),
-        mutation=MutationConfig(kind=mutation, per_gene_rate=per_gene_rate, individual_rate=individual_rate),
+        mutation=MutationConfig(kind=mutation, per_gene_rate=per_gene_rate),
         selection_k=3,
         seed=seed,
         elitism=elitism,
@@ -106,24 +105,6 @@ class TestStepGeneration:
             state = init_state(config(kind=kind, pop=21, seed=6))
             state = step_generation(state)
             assert state.positions.shape == (21, 4)
-
-    def test_individual_gate_closed_copies_parents(self):
-        # Gate shut: every gene would mutate, but no chromosome passes the gate.
-        for mutation in MutationKind:
-            state = init_state(config(problem=6, mutation=mutation, crossover_rate=0.0, per_gene_rate=1.0,
-                                      individual_rate=0.0, elitism=0))
-            parents = state.positions.copy()
-            state = step_generation(state)
-            for row in state.positions:
-                assert any(np.array_equal(row, p) for p in parents)
-
-    def test_individual_gate_open_mutates(self):
-        cfg = config(problem=6, crossover_rate=0.0, per_gene_rate=1.0, individual_rate=0.5, elitism=0)
-        state = init_state(cfg)
-        parents = state.positions.copy()
-        state = step_generation(state)
-        copied = sum(any(np.array_equal(row, p) for p in parents) for row in state.positions)
-        assert 0 < copied < cfg.population_size
 
     def test_odd_population_pair_operators_at_full_crossover(self):
         for kind in (CrossoverKind.SBX, CrossoverKind.LAPLACE):

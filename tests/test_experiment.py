@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -28,6 +30,8 @@ from rcga.experiment import (
     run_experiment,
 )
 from rcga.operators import CrossoverKind, MutationKind
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -61,7 +65,6 @@ OPERATOR_VALUES = {
     "psox_w": (0.5, "w"),
     "psox_c1": (1.2, "c1"),
     "psox_c2": (1.7, "c2"),
-    "psox_per_gene_draws": (False, "maybe"),
     "crossover_rate": (0.7, 1.5),
     "gm_sigma_fraction": (0.1, 0),
     "num_b": (3.0, 0),
@@ -112,8 +115,10 @@ class TestParseConfig:
         assert cfg.operators == (CrossoverKind.LAPLACE, CrossoverKind.BLX_ALPHA)
 
     def test_unknown_key_diagnostic(self, tmp_path):
-        # The operator-config fields the harness sets per cell are not keys either.
-        for key in ("bogus_key", "kind", "per_gene_rate", "individual_rate", "crossover", "mutation"):
+        # The operator-config fields the harness sets per cell are not keys either,
+        # nor are the removed PSOX scalar-draw and per-individual mutation options.
+        for key in ("bogus_key", "kind", "per_gene_rate", "crossover", "mutation",
+                    "psox_per_gene_draws", "individual_rate"):
             path = write_config(tmp_path / "a.cfg")
             path.write_text(path.read_text() + f"{key} = 3\n")
             with pytest.raises(ConfigError, match=rf"{key}: unknown key"):
@@ -140,6 +145,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"a\.cfg: problems: reversed range 5-3"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("selection_k", 0, "must be >= 1"),
+        ("elitism", -1, r"must lie in \[0, population_size\]"),
+        ("elitism", 17, r"must lie in \[0, population_size\]"),  # population_size is 16
+    ], ids=["selection_k_zero", "elitism_negative", "elitism_above_population"])
+    def test_selection_parameter_out_of_range_rejected(self, tmp_path, capsys, key, value, message):
+        path = write_config(tmp_path / "a.cfg", **{key: value})
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: {message}"):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert f"a.cfg: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     def test_mc_samples_below_dunnett_floor_rejected(self, tmp_path):
         assert parse_config(write_config(tmp_path / "a.cfg", mc_samples=10_000)).mc_samples == 10_000
         path = write_config(tmp_path / "a.cfg", mc_samples=9_999)
@@ -162,7 +180,7 @@ class TestParseConfig:
         good, bad = OPERATOR_VALUES[key]
         cfg = parse_config(write_config(tmp_path / "a.cfg", **{key: good}))
         target = _CONFIG_KEYS[key][0]
-        for cell in experiment_cells(cfg):
+        for cell in experiment_cells(cfg.problems, cfg.operators, cfg.mutations):
             params = getattr(ga_config_for(cfg, cell, 0), target)
             assert getattr(params, key) == good != getattr(type(params)(), key)
         with pytest.raises(ConfigError, match=rf"a\.cfg: {key}"):
@@ -462,6 +480,37 @@ class TestCli:
         assert [row.split(",")[3] == "-" for row in rows] == [True, False]
         svg = (bundle / "convergence_p09.svg").read_text()
         assert kept["label"] in svg and lost["label"] not in svg
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "{bundle}", "--alpha", "7"], "alpha: must lie in (0, 1), got 7"),
+        (["analyze", "{bundle}", "--control", "FOO"], "control: FOO is not an operator of this bundle; it has PSOX, AX"),
+    ], ids=["alpha", "control"])
+    def test_bad_analyze_flag_exits_2_without_tables(self, tmp_path, capsys, argv, message):
+        assert main(["run", str(write_config(tmp_path / "a.cfg", runs=4))]) == 0
+        bundle = tmp_path / "bundle"
+        assert main([arg.format(bundle=bundle) for arg in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (bundle / "summary.csv").exists() and not (bundle / "dunnett.csv").exists()
+
+    def test_bad_plot_problems_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path / "a.cfg"))]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plot", str(tmp_path / "bundle"), "--problems", "9,x"])
+        assert exit_info.value.code == 2
+        assert "argument --problems: invalid" in capsys.readouterr().err
+        assert not list((tmp_path / "bundle").glob("*.svg"))
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_without_traceback(self, unbuffered):
+        # Buffered, the write fails in the final flush; unbuffered, in the first print.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+               "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen([sys.executable, "-m", "rcga", "list-benchmarks"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader is gone before the first line is written
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err and "Exception ignored" not in err
 
     def test_list_benchmarks(self, capsys):
         assert main(["list-benchmarks"]) == 0

@@ -161,12 +161,6 @@ class TestPsox:
                                self.cfg(), StubRng(uniforms=[0.5, 0.5]))
         assert abs(child[0] - 2.25) < 1e-12
 
-    def test_scalar_draw_mode_moves_all_genes_together(self):
-        p = np.zeros(5)
-        child = psox_crossover(p, np.ones(5), np.ones(5),
-                               self.cfg(psox_per_gene_draws=False), make_rng(4))
-        assert np.allclose(child, child[0])
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             psox_crossover(np.zeros(2), np.zeros(3), np.zeros(2), self.cfg(), make_rng(0))
@@ -229,39 +223,35 @@ class TestNonuniformMutation:
 
 class TestTournament:
     def test_single_individual(self):
-        assert tournament_index(np.array([3.0]), 3, make_rng(0)) == 0
+        assert tournament_index(np.array([3.0]), 3, make_rng(0), size=1).tolist() == [0]
 
     def test_argmin_contract_with_full_coverage(self):
         rng = StubRng(ints=[np.arange(4)])
-        assert tournament_index(np.array([5.0, 1.0, 4.0, 2.0]), 4, rng) == 1
+        assert tournament_index(np.array([5.0, 1.0, 4.0, 2.0]), 4, rng, size=1).tolist() == [1]
 
     def test_tie_broken_by_earliest_draw(self):
         fitness = np.array([2.0, 2.0, 2.0])
         rng = StubRng(ints=[np.array([2, 0, 1])])
-        assert tournament_index(fitness, 3, rng) == 2
+        assert tournament_index(fitness, 3, rng, size=1).tolist() == [2]
 
     def test_never_worse_than_sampled_best(self):
         seed_rng = make_rng(12)
         fitness = seed_rng.random(20)
-        for _ in range(200):
-            picks = seed_rng.integers(0, 20, size=3)
-            winner = tournament_index(fitness, 3, StubRng(ints=[picks]))
-            assert fitness[winner] == fitness[picks].min()
+        picks = seed_rng.integers(0, 20, size=(200, 3))
+        winners = tournament_index(fitness, 3, StubRng(ints=[picks]), size=len(picks))
+        assert np.array_equal(fitness[winners], fitness[picks].min(axis=1))
 
     def test_uniform_fitness_selects_uniformly(self):
         fitness = np.zeros(10)
-        rng = make_rng(13)
-        counts = np.zeros(10)
         draws = 100_000
-        for _ in range(draws):
-            counts[tournament_index(fitness, 3, rng)] += 1
+        counts = np.bincount(tournament_index(fitness, 3, make_rng(13), size=draws), minlength=10)
         expected = draws / 10
         sigma = np.sqrt(draws * 0.1 * 0.9)
         assert np.all(np.abs(counts - expected) < 3 * sigma)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_index(np.array([]), 3, make_rng(0))
+            tournament_index(np.array([]), 3, make_rng(0), size=1)
 
 
 class TestBatchedRows:
@@ -335,25 +325,10 @@ class TestBatchedRows:
             rng = StubRng(uniforms=[hit[r], up[r], step[r]])
             assert np.array_equal(out[r], nonuniform_mutation(x[r], unit_bounds(self.n), 3, 10, cfg, rng))
 
-    def test_psox_scalar_draws_are_per_row(self):
-        cfg = CrossoverConfig(kind=CrossoverKind.PSOX, psox_w=0.0, psox_c1=1.0, psox_c2=1.0,
-                              psox_per_gene_draws=False)
-        direction = np.arange(1.0, self.n + 1.0)
-        zeros = np.zeros((self.m, self.n))
-        r1 = psox_crossover(zeros, np.tile(direction, (self.m, 1)), np.zeros(self.n), cfg, make_rng(32)) / direction
-        r2 = psox_crossover(zeros, zeros, direction, cfg, make_rng(33)) / direction
-        for r in (r1, r2):
-            assert np.allclose(r, r[:, :1], rtol=1e-12, atol=0)  # one draw moves every gene of a row
-            assert np.unique(r[:, 0]).size == self.m  # rows draw their own value
-        # The draws are one (m, 1) column each for r1 and r2.
-        a, b = np.array([[0.1], [0.2], [0.3], [0.4]]), np.array([[0.5], [0.6], [0.7], [0.8]])
-        out = psox_crossover(zeros, np.tile(direction, (self.m, 1)), 2.0 * direction, cfg, StubRng(uniforms=[a, b]))
-        assert np.allclose(out, (a + 2.0 * b) * direction, rtol=1e-12, atol=0)
-
     def test_tournament_rows(self):
         fitness = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 0.5])
         picks = np.array([[0, 2, 4], [3, 1, 0], [1, 3, 2], [5, 5, 0], [4, 4, 4]])
         winners = tournament_index(fitness, 3, StubRng(ints=[picks]), size=len(picks))
         assert winners.tolist() == [2, 3, 1, 5, 4]  # rows 1 and 2 tie at 1.0: earliest draw wins
         for row, w in zip(picks, winners):
-            assert w == tournament_index(fitness, 3, StubRng(ints=[row]))
+            assert [w] == tournament_index(fitness, 3, StubRng(ints=[row]), size=1).tolist()
