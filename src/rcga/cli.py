@@ -26,6 +26,7 @@ from .experiment import (
     analyze,
     format_sci,
     mutation_sweep,
+    parse_problems,
     plot_convergence,
     run_experiment,
 )
@@ -50,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="convergence panels (SVG) from a bundle")
     p_plot.add_argument("bundle", type=Path)
-    p_plot.add_argument("--problems", type=_problem_ids, help="comma-separated problem ids (default: all in bundle)")
+    p_plot.add_argument(
+        "--problems", type=_problem_ids, help="problem ids, ranges and names, comma-separated (default: all in bundle)"
+    )
     p_plot.add_argument("--output", type=Path, help="directory for the SVG files")
     p_plot.set_defaults(handler=_cmd_plot)
 
@@ -95,8 +98,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _problem_ids(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _problem_ids(raw: str) -> tuple[int, ...]:
+    """``--problems`` as the config's ``problems`` key reads it; a bad value is a usage error."""
+    try:
+        return parse_problems(raw)
+    except (KeyError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {raw!r}: {exc.args[0]}") from None
 
 
 def _cmd_plot(args) -> int:

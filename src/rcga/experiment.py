@@ -28,10 +28,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import benchmarks, svgplot
-from .core import make_rng
 from .engine import GaConfig, RunTrace, run_ga
 from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
-from .stats import DUNNETT_MIN_SAMPLES, FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
+from .stats import DUNNETT_MIN_SAMPLES, FLAG_NOT_RUN, DunnettNulls, SampleGroup, StatReport, build_report, summarize
 
 MANIFEST_NAME = "manifest.json"
 
@@ -108,7 +107,7 @@ def _no_repeats(items: list, what: str, ident=str) -> tuple:
     return tuple(items)
 
 
-def _parse_problems(raw: str) -> tuple[int, ...]:
+def parse_problems(raw: str) -> tuple[int, ...]:
     """Accept ids, id ranges ("1-15") and registry names, comma-separated."""
     out: list[int] = []
     for token in raw.split(","):
@@ -179,7 +178,7 @@ def _config_keys() -> dict:
     cell. Other values are parsed by the type of the field's default.
     """
     special = {
-        "problems": _parse_problems,
+        "problems": parse_problems,
         "operators": _parse_operators,
         "mutations": _parse_mutations,
         "mutation_rates": _parse_rates,
@@ -391,14 +390,16 @@ def read_trace_csv(path: Path) -> dict[int, np.ndarray]:
     """
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "run,generation,best_so_far":
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(fh, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+    if header != "run,generation,best_so_far":
+        raise ValueError(f"{path}: unexpected trace header {header!r}")
+    # Given a path, not a handle, numpy reads the file in blocks in C instead
+    # of iterating over it one Python string per line.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(path, dtype=_TRACE_ROW, delimiter=",", comments=None, skiprows=1, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     order = np.argsort(table["run"], kind="stable")
     ids, starts = np.unique(table["run"][order], return_index=True)
     curves = np.split(table["best_so_far"][order], starts[1:])
@@ -519,9 +520,12 @@ def analyze(
     Within each (problem, mutation) block the operators form the comparison
     groups; ``control_label`` names the control operator. Blocks lacking the
     control, with fewer than two usable groups, or with single-run cells keep
-    their test columns dashed. Results depend only on the bundle contents,
-    alpha and the manifest's Monte Carlo seed. An alpha outside (0, 1) or a
-    control the bundle lacks raises ``ConfigError`` before anything is written.
+    their test columns dashed. The Dunnett null is sampled once per design
+    (group sizes, control first, and ``mc_samples``) per call, seeded from
+    the manifest's ``mc_seed`` and the design, so a block's results depend
+    only on its own trace files, alpha and those two manifest entries. An
+    alpha outside (0, 1) or a control the bundle lacks raises
+    ``ConfigError`` before anything is written.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -540,8 +544,9 @@ def analyze(
     if control_label not in operators:
         raise ConfigError(f"control: {control_label} is not an operator of this bundle; it has {', '.join(operators)}")
 
+    nulls = DunnettNulls(int(manifest["mc_seed"]))
+    mc_samples = int(manifest.get("mc_samples", 100_000))
     analyses: list[ProblemAnalysis] = []
-    block_index = 0
     for problem in problems:
         for mutation in mutations:
             block = [c for c in cells if c["problem"] == problem and c["mutation"] == mutation]
@@ -557,16 +562,8 @@ def analyze(
             report = None
             control_group = f"{control_label}-{mutation}"
             if len(usable) >= 2 and any(g.label == control_group for g in usable):
-                rng = make_rng(int(manifest["mc_seed"]) + block_index)
-                report = build_report(
-                    usable,
-                    control_group,
-                    alpha,
-                    rng,
-                    mc_samples=int(manifest.get("mc_samples", 100_000)),
-                )
+                report = build_report(usable, control_group, alpha, nulls, mc_samples)
             analyses.append(ProblemAnalysis(problem, mutation, report, groups))
-            block_index += 1
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)
     _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, sig_figs)

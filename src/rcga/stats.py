@@ -10,6 +10,11 @@ treatment is significantly worse than the control", i.e. the control operator
 wins. Family-adjusted p-values come from seeded Monte Carlo sampling of the
 max-statistic null distribution; both raw p and flag are always reported so
 the orientation can be re-mapped by the reader.
+
+That null depends only on the design: the group sizes, control first, and
+the number of draws. ``DunnettNulls`` samples it at most once per design for
+one analysis, seeded from the analysis seed and the design, and sorts it
+once; each p is then a bisection into the sorted draws.
 """
 from __future__ import annotations
 
@@ -209,9 +214,52 @@ def _dunnett_statistics(control: SampleGroup, treatments: Sequence[SampleGroup])
     sizes = np.array([g.values.size for g in all_groups], dtype=float)
     means = np.array([float(np.mean(g.values)) for g in all_groups])
     sum_sq = sum(float(np.sum((g.values - np.mean(g.values)) ** 2)) for g in all_groups)
-    dof = int(np.sum(sizes)) - len(all_groups)
-    pooled_var = sum_sq / dof
-    return sizes, means, pooled_var, dof
+    pooled_var = sum_sq / (int(np.sum(sizes)) - len(all_groups))
+    return sizes, means, pooled_var
+
+
+def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: RngStream) -> np.ndarray:
+    """``mc_samples`` draws of the max statistic under H0, sorted ascending.
+
+    ``sizes`` are the group sizes, control first. Each draw has a shared
+    control deviate, independent treatment deviates and a shared pooled-
+    variance chi-square factor with N - k degrees of freedom, which
+    reproduces the classic correlation structure of the comparison family.
+    """
+    n0, nj = sizes[0], sizes[1:]
+    dof = int(np.sum(sizes)) - sizes.size
+    z0 = rng.standard_normal(mc_samples)
+    zt = rng.standard_normal((mc_samples, nj.size))
+    s = np.sqrt(rng.chisquare(dof, mc_samples) / dof)
+    t_null = (zt / np.sqrt(nj) - z0[:, None] / np.sqrt(n0)) / (s[:, None] * np.sqrt(1.0 / nj + 1.0 / n0))
+    return np.sort(t_null.max(axis=1))
+
+
+def _upper_tail(sorted_null: np.ndarray, t) -> np.ndarray:
+    """Share of the null draws at or above each ``t``: ``mean(null >= t)``, by bisection."""
+    n = sorted_null.size
+    return (n - np.searchsorted(sorted_null, t, side="left")) / n
+
+
+class DunnettNulls:
+    """The Dunnett nulls of one analysis: each design's null is sampled once.
+
+    A design is the group sizes, control first, plus the number of draws;
+    the null depends on nothing else. Each is drawn from a stream seeded by
+    ``seed`` and the design, so a block's p-values depend only on its own
+    data, and every block of that design shares the sorted draws.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._nulls: dict[tuple[int, ...], np.ndarray] = {}
+
+    def sorted_null(self, sizes: np.ndarray, mc_samples: int) -> np.ndarray:
+        design = (*(int(n) for n in sizes), mc_samples)
+        if design not in self._nulls:
+            rng = np.random.Generator(np.random.PCG64([self.seed, *design]))
+            self._nulls[design] = _sorted_max_null(sizes, mc_samples, rng)
+        return self._nulls[design]
 
 
 def dunnett_one_sided(
@@ -219,15 +267,15 @@ def dunnett_one_sided(
     treatments: Sequence[SampleGroup],
     alpha: float,
     mc_samples: int,
-    rng: RngStream,
+    rng: RngStream | DunnettNulls,
 ) -> list[tuple[float, str]]:
     """Family-adjusted one-sided p for each treatment (H1: treatment mean > control mean).
 
-    The null of the max statistic is sampled ``mc_samples`` times: shared
-    control deviate, independent treatment deviates, and a shared pooled-
-    variance chi-square factor, which reproduces the classic correlation
-    structure of the comparison family. With zero pooled variance the p-value
-    degenerates to 0 or 1 by the sign of the mean difference.
+    The null of the max statistic is sampled ``mc_samples`` times from
+    ``rng``; given a ``DunnettNulls`` instead, the comparison takes that
+    analysis's shared null for its design. With zero pooled variance the
+    p-value degenerates to 0 or 1 by the sign of the mean difference, and no
+    null is sampled.
     """
     if len(treatments) == 0:
         raise ValueError("dunnett_one_sided: need at least one treatment")
@@ -236,40 +284,34 @@ def dunnett_one_sided(
     if mc_samples < DUNNETT_MIN_SAMPLES:
         raise ValueError("dunnett_one_sided: mc_samples must be at least 10^4")
 
-    sizes, means, pooled_var, dof = _dunnett_statistics(control, treatments)
+    sizes, means, pooled_var = _dunnett_statistics(control, treatments)
     n0, nj = sizes[0], sizes[1:]
     diffs = means[1:] - means[0]
 
     if pooled_var == 0.0:
         return [(0.0, FLAG_SIGNIFICANT) if d > 0 else (1.0, FLAG_NOT_SIGNIFICANT) for d in diffs]
 
-    scale = np.sqrt(pooled_var * (1.0 / nj + 1.0 / n0))
-    t_obs = diffs / scale
-
-    z0 = rng.standard_normal(mc_samples)
-    zt = rng.standard_normal((mc_samples, len(treatments)))
-    s = np.sqrt(rng.chisquare(dof, mc_samples) / dof)
-    t_null = (zt / np.sqrt(nj) - z0[:, None] / np.sqrt(n0)) / (s[:, None] * np.sqrt(1.0 / nj + 1.0 / n0))
-    max_null = t_null.max(axis=1)
-
-    results = []
-    for t in t_obs:
-        p = float(np.mean(max_null >= t))
-        results.append((p, FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT))
-    return results
+    t_obs = diffs / np.sqrt(pooled_var * (1.0 / nj + 1.0 / n0))
+    if isinstance(rng, DunnettNulls):
+        max_null = rng.sorted_null(sizes, mc_samples)
+    else:
+        max_null = _sorted_max_null(sizes, mc_samples, rng)
+    p_values = _upper_tail(max_null, t_obs)
+    return [(float(p), FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT) for p in p_values]
 
 
 def build_report(
     groups: Sequence[SampleGroup],
     control_label: str,
     alpha: float,
-    rng: RngStream,
+    rng: RngStream | DunnettNulls,
     mc_samples: int = 100_000,
 ) -> StatReport:
     """Two-stage pipeline: omnibus Kruskal-Wallis, then Dunnett versus the control.
 
     The post-hoc runs only on a significant omnibus result; otherwise every
-    Dunnett cell is marked not-run ("-").
+    Dunnett cell is marked not-run ("-"). ``rng`` is passed on to
+    ``dunnett_one_sided``.
     """
     labels = [g.label for g in groups]
     if control_label not in labels:

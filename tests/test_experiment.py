@@ -292,6 +292,17 @@ class TestReadTraceCsv:
     def test_single_row(self, tmp_path):
         assert {r: c.tolist() for r, c in self.read(tmp_path, "4,1,2.5E+00\n").items()} == {4: [2.5]}
 
+    def test_crlf_and_missing_final_newline_read_like_lf(self, tmp_path):
+        text = self.HEADER + "1,1,5.0E+00\n1,2,4.0E+00\n\n2,1,INF\n2,2,-3.5E-01\n"
+        variants = {"lf": text, "crlf": text.replace("\n", "\r\n"), "no_final_newline": text.rstrip("\n")}
+        read = {}
+        for name, body in variants.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(body.encode())
+            read[name] = {r: c.tolist() for r, c in read_trace_csv(path).items()}
+        assert read["lf"] == {1: [5.0, 4.0], 2: [np.inf, -0.35]}
+        assert read["crlf"] == read["lf"] and read["no_final_newline"] == read["lf"]
+
     @pytest.mark.parametrize("text", [
         "run,gen,best_so_far\n1,1,2\n",
         "1,1\n",
@@ -310,6 +321,32 @@ class TestReadTraceCsv:
         path.write_text(text if text.startswith("run,") else self.HEADER + text)
         with pytest.raises(ValueError, match=r"t\.csv: "):
             read_trace_csv(path)
+
+
+def write_bundle(bundle: Path, finals: dict, failed=()) -> Path:
+    """A hand-built one-generation bundle: ``finals`` maps (problem, operator) to
+    the runs' values; cells named in ``failed`` get a failed status."""
+    bundle.mkdir()
+    cells = []
+    for index, ((problem, operator), values) in enumerate(finals.items()):
+        name = f"trace_p{problem:02d}_{operator}_GM.csv"
+        rows = ["run,generation,best_so_far"] + [f"{r},1,{format_sci(v)}" for r, v in enumerate(values, start=1)]
+        (bundle / name).write_text("\n".join(rows) + "\n")
+        status = "failed: run 1: boom" if (problem, operator) in failed else "ok"
+        cells.append({"index": index, "problem": problem, "operator": operator, "mutation": "GM",
+                      "rate": None, "label": f"{operator}-GM", "file": name, "status": status})
+    manifest = {"format": "rcga-bundle-v1", "kind": "experiment", "alpha": 0.05,
+                "mc_seed": 3, "mc_samples": 10000, "cells": cells}
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return bundle
+
+
+def planted_finals(problems, runs=5) -> dict:
+    """PSOX below AX below FX in every block: Kruskal-Wallis fires, and the
+    AX-versus-PSOX Dunnett p lies strictly between 0 and 1."""
+    rng = np.random.default_rng(17)
+    return {(p, op): level + rng.random(runs) for p in problems for op, level in
+            (("PSOX", 0.0), ("AX", 0.3), ("FX", 1.0))}
 
 
 class TestAnalyze:
@@ -371,6 +408,36 @@ class TestAnalyze:
         analyze(bundle)
         second = (bundle / "summary.csv").read_bytes() + (bundle / "dunnett.csv").read_bytes()
         assert first == second
+
+    def test_one_null_is_sampled_per_design(self, tmp_path, monkeypatch):
+        from rcga import stats
+
+        sampled = []
+        real = stats._sorted_max_null
+
+        def counting(sizes, mc_samples, rng):
+            sampled.append((tuple(sizes), mc_samples))
+            return real(sizes, mc_samples, rng)
+
+        monkeypatch.setattr(stats, "_sorted_max_null", counting)
+        # Problem 4 loses its FX cell, so its block has a second design.
+        bundle = write_bundle(tmp_path / "b", planted_finals((1, 2, 3, 4)), failed={(4, "FX")})
+        analyses = analyze(bundle)
+        assert all(a.report.kw_flag == "+" for a in analyses)
+        assert sorted(sampled) == [((5.0, 5.0), 10000), ((5.0, 5.0, 5.0), 10000)]
+
+    def test_block_p_values_do_not_depend_on_other_blocks(self, tmp_path):
+        finals = planted_finals((1, 2, 3))
+        full = write_bundle(tmp_path / "full", finals)
+        part = write_bundle(tmp_path / "part", {key: v for key, v in finals.items() if key[0] != 1})
+        analyze(full)
+        analyze(part)
+
+        def rows(bundle):
+            return [row for row in (bundle / "dunnett.csv").read_text().splitlines()[1:] if row[0] != "1"]
+
+        assert rows(part) == rows(full)
+        assert all(0.0 < float(row.split(",")[2]) < 1.0 for row in rows(full) if row.split(",")[1] == "AX-GM")
 
     def test_csvs_end_with_trailing_newline(self, tmp_path):
         bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
@@ -498,6 +565,21 @@ class TestCli:
             main(["plot", str(tmp_path / "bundle"), "--problems", "9,x"])
         assert exit_info.value.code == 2
         assert "argument --problems: invalid" in capsys.readouterr().err
+        assert not list((tmp_path / "bundle").glob("*.svg"))
+
+    @pytest.mark.parametrize("value, drawn", [("1-3", [1, 2, 3]), ("Sphere Function", [9])], ids=["range", "name"])
+    def test_plot_problems_take_ranges_and_names(self, tmp_path, capsys, value, drawn):
+        assert main(["run", str(write_config(tmp_path / "a.cfg", problems="1-3, 9", operators="PSOX", runs=2))]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["plot", str(bundle), "--problems", value]) == 0
+        assert sorted(p.name for p in bundle.glob("*.svg")) == [f"convergence_p{pid:02d}.svg" for pid in drawn]
+
+    def test_unknown_plot_problem_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path / "a.cfg"))]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plot", str(tmp_path / "bundle"), "--problems", "99"])
+        assert exit_info.value.code == 2
+        assert "argument --problems: invalid value '99': unknown benchmark problem id 99" in capsys.readouterr().err
         assert not list((tmp_path / "bundle").glob("*.svg"))
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

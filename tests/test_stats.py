@@ -13,7 +13,10 @@ from rcga.stats import (
     FLAG_SIGNIFICANT,
     KW_CHI2,
     KW_EXACT,
+    DunnettNulls,
     SampleGroup,
+    _sorted_max_null,
+    _upper_tail,
     build_report,
     dunnett_one_sided,
     kruskal_wallis,
@@ -191,6 +194,58 @@ class TestDunnettOneSided:
             dunnett_one_sided(control, [t1], 0.05, 100, make_rng(0))
         with pytest.raises(ValueError):
             dunnett_one_sided(control, [], 0.05, 10_000, make_rng(0))
+
+    def test_fresh_stream_p_matches_mean_over_unsorted_draws(self):
+        # Reference: the max-statistic null drawn in the same order from the
+        # same stream, and p as the share of draws at or above t.
+        rng = make_rng(12)
+        control = SampleGroup("ctl", rng.standard_normal(8))
+        treatments = [SampleGroup(f"t{i}", rng.standard_normal(n) + 0.7) for i, n in enumerate((6, 9))]
+        ps = [p for p, _ in dunnett_one_sided(control, treatments, 0.05, 20_000, make_rng(13))]
+
+        n0, nj = 8.0, np.array([6.0, 9.0])
+        draws = make_rng(13)
+        z0 = draws.standard_normal(20_000)
+        zt = draws.standard_normal((20_000, 2))
+        s = np.sqrt(draws.chisquare(23 - 3, 20_000) / (23 - 3))
+        t_null = (zt / np.sqrt(nj) - z0[:, None] / np.sqrt(n0)) / (s[:, None] * np.sqrt(1 / nj + 1 / n0))
+        max_null = t_null.max(axis=1)
+        values = [control.values, *(t.values for t in treatments)]
+        pooled = sum(((v - v.mean()) ** 2).sum() for v in values) / (23 - 3)
+        t_obs = [(t.values.mean() - control.values.mean()) / np.sqrt(pooled * (1 / t.values.size + 1 / 8))
+                 for t in treatments]
+        assert ps == [float(np.mean(max_null >= t)) for t in t_obs]
+
+
+class TestDunnettNulls:
+    def test_sorted_tail_equals_mean_of_draws_at_ties(self):
+        draws = np.round(make_rng(21).standard_normal(5_000), 1)  # many tied values
+        null = np.sort(draws)
+        t = np.array([-np.inf, null[0], null[1234], null[2500] + 1e-12, 0.0, null[-1], null[-1] + 1.0, np.inf])
+        assert _upper_tail(null, t).tolist() == [float(np.mean(draws >= x)) for x in t]
+
+    def test_one_null_per_design_seeded_by_the_design(self):
+        sizes = np.array([30.0, 30.0, 30.0])
+        nulls = DunnettNulls(7)
+        first = nulls.sorted_null(sizes, 10_000)
+        assert nulls.sorted_null(sizes.copy(), 10_000) is first
+        assert np.all(np.diff(first) >= 0)
+        other = nulls.sorted_null(np.array([30.0, 29.0, 30.0]), 10_000)
+        assert other is not first and not np.array_equal(other, first)
+        # The same seed and design give the same draws, whatever was sampled before.
+        again = DunnettNulls(7)
+        again.sorted_null(np.array([5.0, 5.0]), 10_000)
+        np.testing.assert_array_equal(again.sorted_null(sizes, 10_000), first)
+        rng = np.random.Generator(np.random.PCG64([7, 30, 30, 30, 10_000]))
+        np.testing.assert_array_equal(first, _sorted_max_null(sizes, 10_000, rng))
+
+    def test_shared_null_gives_the_same_p_as_its_stream(self):
+        rng = make_rng(31)
+        control = SampleGroup("ctl", rng.standard_normal(10))
+        treatments = [SampleGroup(f"t{i}", rng.standard_normal(10) + 0.8 * i) for i in range(3)]
+        shared = dunnett_one_sided(control, treatments, 0.05, 10_000, DunnettNulls(4))
+        stream = np.random.Generator(np.random.PCG64([4, 10, 10, 10, 10, 10_000]))
+        assert shared == dunnett_one_sided(control, treatments, 0.05, 10_000, stream)
 
 
 class TestBuildReport:
