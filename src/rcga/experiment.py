@@ -13,6 +13,7 @@ convergence the operator comparisons rely on; see README.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationK
 from .stats import DUNNETT_MIN_SAMPLES, FLAG_NOT_RUN, DunnettNulls, SampleGroup, StatReport, build_report, summarize
 
 MANIFEST_NAME = "manifest.json"
+CURVES_NAME = "curves.npz"
 
 SCALE_PRESETS = {
     "paper": (300, 1000, 30),  # population, generations, runs
@@ -366,12 +368,26 @@ def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]) -> Iterator[tuple[C
                 traces, error = [], None
 
 
+def _replace_atomically(path: Path, write: Callable[[IO], None], mode: str = "w") -> None:
+    """Write ``path`` through a hidden temp file in its directory and
+    ``os.replace``, so a reader finds the old file or the whole new one; the
+    temp file is removed if writing fails."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> None:
     lines = ["run,generation,best_so_far"]
     for run_index, trace in enumerate(traces, start=1):
         for gen, value in enumerate(trace.best_per_generation, start=1):
             lines.append(f"{run_index},{gen},{format_sci(value)}")
-    path.write_text("\n".join(lines) + "\n")
+    _replace_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 _TRACE_ROW = np.dtype([("run", np.int64), ("generation", np.int64), ("best_so_far", np.float64)])
@@ -386,12 +402,13 @@ def read_trace_csv(path: Path) -> dict[int, np.ndarray]:
     order in which run ids first appear and each curve keeps file order.
     Raises ``ValueError`` for any other header, a row without exactly three
     fields, a non-integer id or generation, a non-numeric value, and a line
-    of spaces or a ``#`` comment. A header-only file gives ``{}``.
+    of spaces or a ``#`` comment; the message names the first such line of
+    the file, counting the header as line 1. A header-only file gives ``{}``.
     """
     with open(path) as fh:
         header = fh.readline().strip()
     if header != "run,generation,best_so_far":
-        raise ValueError(f"{path}: unexpected trace header {header!r}")
+        raise ValueError(f"{path}: line 1: unexpected trace header {header!r}")
     # Given a path, not a handle, numpy reads the file in blocks in C instead
     # of iterating over it one Python string per line.
     with warnings.catch_warnings():
@@ -399,11 +416,30 @@ def read_trace_csv(path: Path) -> dict[int, np.ndarray]:
         try:
             table = np.loadtxt(path, dtype=_TRACE_ROW, delimiter=",", comments=None, skiprows=1, ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {_find_bad_line(path) or exc}") from None
     order = np.argsort(table["run"], kind="stable")
     ids, starts = np.unique(table["run"][order], return_index=True)
     curves = np.split(table["best_so_far"][order], starts[1:])
     return {int(ids[i]): curves[i] for i in np.argsort(order[starts])}
+
+
+def _find_bad_line(path: Path) -> Optional[str]:
+    """``line N: why: text`` for the first body line ``np.loadtxt`` rejects, or
+    None. Each line goes through ``np.loadtxt`` on its own, so the verdicts are
+    the ones the whole-file read gave; only rejected files pay for this."""
+    with open(path, errors="replace") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                np.loadtxt([line], dtype=_TRACE_ROW, delimiter=",", comments=None)
+            except ValueError:
+                text = line.rstrip("\r\n")
+                n_fields = text.count(",") + 1
+                why = "expected integer run and generation and a number" if n_fields == 3 else \
+                    f"{n_fields} fields, expected 3"
+                return f"line {lineno}: {why}: {text!r}"
+    return None
 
 
 def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], statuses: dict[int, str]) -> dict:
@@ -501,6 +537,54 @@ def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
     return None if curves is None else curves[:, -1].copy()  # a view would keep the whole matrix alive
 
 
+# The curve digest: per usable trace file, keyed by the SHA-256 of its bytes,
+# the per-generation mean and std of its runs. ``analyze`` writes it while it
+# holds each cell's curves; ``plot_convergence`` reuses a row only when the
+# file's bytes still hash to its key, so a rewritten trace is parsed again.
+
+
+def _file_sha256(path: Path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def _mean_std(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-generation mean and std (``ddof=1``; zeros for a single run)."""
+    mean = curves.mean(axis=0)
+    std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)
+    return mean, std
+
+
+def _write_curve_digest(path: Path, rows: dict[bytes, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Save ``sha -> (mean, std)`` as three stacked arrays; rows whose length
+    differs from the first row's are left out, and plotting parses those."""
+    length = next((mean.size for mean, _ in rows.values()), 0)
+    rows = {sha: ms for sha, ms in rows.items() if ms[0].size == length}
+    arrays = {
+        "sha": np.array(list(rows), dtype="S32"),
+        "mean": np.array([m for m, _ in rows.values()]).reshape(len(rows), length),
+        "std": np.array([s for _, s in rows.values()]).reshape(len(rows), length),
+    }
+    _replace_atomically(path, lambda fh: np.savez(fh, **arrays), mode="wb")
+
+
+def _load_curve_digest(path: Path) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+    """The digest at ``path`` as ``sha -> (mean, std)``; ``{}`` when it is
+    missing, unreadable or mis-shaped."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            sha, mean, std = npz["sha"], npz["mean"], npz["std"]
+    except Exception:  # noqa: BLE001
+        # A damaged zip fails in many ways (BadZipFile, NotImplementedError,
+        # RuntimeError, tokenize errors, ...); each means there is no digest.
+        return {}
+    shaped = mean.ndim == 2 and std.shape == mean.shape and sha.shape == mean.shape[:1]
+    if not shaped or sha.dtype != "S32" or mean.dtype != np.float64 or std.dtype != np.float64:
+        return {}
+    # tobytes keeps trailing NUL bytes, which indexing an S32 array strips.
+    keys = sha.tobytes()
+    return {keys[32 * i:32 * (i + 1)]: (mean[i], std[i]) for i in range(sha.size)}
+
+
 @dataclass
 class ProblemAnalysis:
     problem: int
@@ -525,7 +609,8 @@ def analyze(
     the manifest's ``mc_seed`` and the design, so a block's results depend
     only on its own trace files, alpha and those two manifest entries. An
     alpha outside (0, 1) or a control the bundle lacks raises
-    ``ConfigError`` before anything is written.
+    ``ConfigError`` before anything is written. Also writes the curve digest
+    ``curves.npz`` for ``plot_convergence``; the tables never read it.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -546,13 +631,19 @@ def analyze(
 
     nulls = DunnettNulls(int(manifest["mc_seed"]))
     mc_samples = int(manifest.get("mc_samples", 100_000))
+    digest: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
         for mutation in mutations:
             block = [c for c in cells if c["problem"] == problem and c["mutation"] == mutation]
             if not block:
                 continue
-            by_op = {c["operator"]: final_bests(bundle_dir, c) for c in block}
+            by_op = {}
+            for c in block:
+                curves = _cell_curves(bundle_dir, c)
+                by_op[c["operator"]] = None if curves is None else curves[:, -1].copy()
+                if curves is not None:
+                    digest[_file_sha256(bundle_dir / c["file"])] = _mean_std(curves)
             groups = [(op, by_op.get(op)) for op in operators if op in by_op]
             usable = [
                 SampleGroup(f"{op}-{mutation}", vals)
@@ -567,6 +658,7 @@ def analyze(
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)
     _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, sig_figs)
+    _write_curve_digest(bundle_dir / CURVES_NAME, digest)
     return analyses
 
 
@@ -601,14 +693,31 @@ def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
 # Convergence plots
 
 
+def _cell_mean_std(bundle_dir: Path, cell: dict, digest: dict) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Per-generation mean and std of a usable cell, from ``digest`` when its
+    trace file's hash is there, else from the parsed file; None if unusable."""
+    path = bundle_dir / cell["file"]
+    if digest and cell["status"] == "ok" and path.is_file():
+        hit = digest.get(_file_sha256(path))
+        if hit is not None:
+            return hit
+    curves = _cell_curves(bundle_dir, cell)
+    return None if curves is None else _mean_std(curves)
+
+
 def plot_convergence(
     bundle_dir: Path | str,
     problems: Optional[Sequence[int]] = None,
     output: Optional[Path | str] = None,
 ) -> list[Path]:
-    """One SVG panel per problem: mean best-so-far vs generation, +/-1 std band."""
+    """One SVG panel per problem: mean best-so-far vs generation, +/-1 std band.
+
+    A cell whose trace file hashes to a row of the curve digest ``analyze``
+    left is drawn from that row; any other cell's trace is parsed.
+    """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
+    digest = _load_curve_digest(bundle_dir / CURVES_NAME)
     out_dir = Path(output) if output else bundle_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     available = sorted({c["problem"] for c in manifest["cells"]})
@@ -620,13 +729,11 @@ def plot_convergence(
         for cell in manifest["cells"]:
             if cell["problem"] != problem:
                 continue
-            curves = _cell_curves(bundle_dir, cell)
-            if curves is None:
+            stats = _cell_mean_std(bundle_dir, cell, digest)
+            if stats is None:
                 continue
-            gens = np.arange(1, curves.shape[1] + 1)
-            mean = curves.mean(axis=0)
-            std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)
-            series.append(svgplot.Series(cell["label"], gens, mean, std))
+            mean, std = stats
+            series.append(svgplot.Series(cell["label"], np.arange(1, mean.size + 1), mean, std))
         if not series:
             continue
         name = benchmarks.REGISTRY[problem].name

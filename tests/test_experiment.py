@@ -8,13 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rcga import experiment
 from rcga.cli import main
 from rcga.engine import RunTrace
 from rcga.experiment import (
+    CURVES_NAME,
     Cell,
     _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
+    _load_curve_digest,
+    _write_curve_digest,
     _write_trace_csv,
     analyze,
     experiment_cells,
@@ -303,24 +307,70 @@ class TestReadTraceCsv:
         assert read["lf"] == {1: [5.0, 4.0], 2: [np.inf, -0.35]}
         assert read["crlf"] == read["lf"] and read["no_final_newline"] == read["lf"]
 
-    @pytest.mark.parametrize("text", [
-        "run,gen,best_so_far\n1,1,2\n",
-        "1,1\n",
-        "1,1,2\n1,2\n",
-        "1,1,2,3\n",
-        "1,1,2\n1,2,3,4\n",
-        "1.5,1,2\n",
-        "one,1,2\n",
-        "1,1,two\n",
-        "1,1,2\n   \n",
-        "# note\n1,1,2\n",
+    # The message names the rejected line of the file: header = line 1, blank lines counted.
+    @pytest.mark.parametrize("text, line", [
+        ("run,gen,best_so_far\n1,1,2\n", 1),
+        ("1,1\n", 2),
+        ("1,1,2\n1,2\n", 3),
+        ("1,1,2,3\n", 2),
+        ("1,1,2\n1,2,3,4\n", 3),
+        ("1.5,1,2\n", 2),
+        ("one,1,2\n", 2),
+        ("1,1,two\n", 2),
+        ("1,1,2\n   \n", 3),
+        ("# note\n1,1,2\n", 2),
+        ("1,1,2\n1,2.5,1\n", 3),
+        ("\n\n\nx,4,1.0\n", 5),
+        ("1,1,2\n\n1,1,two\n", 4),
+        ("1,1,2\r\n\r\n1,2\r\n", 4),
     ], ids=["header", "two_fields", "short_row", "four_fields", "long_row", "fractional_run",
-            "word_run", "word_value", "spaces_line", "comment"])
-    def test_malformed_input_rejected(self, tmp_path, text):
+            "word_run", "word_value", "spaces_line", "comment", "fractional_generation",
+            "word_run_after_blank_lines", "word_value_after_blank_line", "short_row_crlf"])
+    def test_malformed_input_rejected(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
         path.write_text(text if text.startswith("run,") else self.HEADER + text)
-        with pytest.raises(ValueError, match=r"t\.csv: "):
+        with pytest.raises(ValueError, match=rf"t\.csv: line {line}: "):
             read_trace_csv(path)
+
+
+class TestWriteTraceCsv:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class HalfWriter:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(experiment, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            _write_trace_csv(tmp_path / "trace_p01_AX_GM.csv", [trace([3.0, 2.0, 1.0])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace_p01_AX_GM.csv"
+        _write_trace_csv(path, [trace([3.0, 2.0])])
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("boom")
+
+        monkeypatch.setattr(experiment.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="boom"):
+            _write_trace_csv(path, [trace([9.0, 8.0])])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def write_bundle(bundle: Path, finals: dict, failed=()) -> Path:
@@ -469,6 +519,91 @@ class TestPlot:
         bundle = run_experiment(write_config(tmp_path / "a.cfg"))
         with pytest.raises(FileNotFoundError):
             plot_convergence(bundle, problems=[3])
+
+
+class TestCurveDigest:
+    """``analyze`` leaves ``curves.npz``; ``plot_convergence`` reuses rows whose
+    trace bytes still hash to their key and parses every other trace."""
+
+    @staticmethod
+    def bundle(tmp_path) -> Path:
+        return run_experiment(write_config(tmp_path / "a.cfg", problems="9, 1", runs=4))
+
+    @staticmethod
+    def svgs(bundle: Path, out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in plot_convergence(bundle, output=out)}
+
+    def test_plot_from_digest_is_byte_identical(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        assert (bundle / CURVES_NAME).is_file()
+        from_digest = self.svgs(bundle, tmp_path / "a")
+        (bundle / CURVES_NAME).unlink()
+        assert self.svgs(bundle, tmp_path / "b") == from_digest
+
+    def test_same_size_rewrite_is_drawn_from_the_new_bytes(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        before = self.svgs(bundle, tmp_path / "before")
+        path = bundle / load_manifest(bundle)["cells"][0]["file"]
+        old = path.read_bytes()
+        header, body = old.split(b"\n", 1)
+        path.write_bytes(header + b"\n" + body.translate(bytes.maketrans(b"+-", b"-+")))  # flip exponent signs
+        assert path.stat().st_size == len(old) and path.read_bytes() != old
+        after = self.svgs(bundle, tmp_path / "after")
+        (bundle / CURVES_NAME).unlink()
+        assert after == self.svgs(bundle, tmp_path / "parsed")
+        assert after != before
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "misshaped"])
+    def test_damaged_digest_is_ignored(self, tmp_path, damage):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        digest = bundle / CURVES_NAME
+        if damage == "truncated":
+            digest.write_bytes(digest.read_bytes()[: digest.stat().st_size // 2])
+        elif damage == "garbage":
+            digest.write_bytes(b"not a zip file\n" * 50)
+        elif damage == "empty":
+            digest.write_bytes(b"")
+        else:
+            with np.load(digest) as npz:
+                arrays = dict(npz)
+            np.savez(digest, sha=arrays["sha"][:1], mean=arrays["mean"], std=arrays["std"])
+        assert _load_curve_digest(digest) == {}
+        drawn = self.svgs(bundle, tmp_path / "a")
+        digest.unlink()
+        assert drawn == self.svgs(bundle, tmp_path / "b")
+
+    def test_plot_of_an_unanalysed_bundle_writes_no_digest(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        assert len(plot_convergence(bundle)) == 2
+        assert not (bundle / CURVES_NAME).exists()
+
+    def test_analyze_then_plot_parse_each_trace_once(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        parsed = []
+        real = experiment.read_trace_csv
+
+        def counting(path):
+            parsed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(experiment, "read_trace_csv", counting)
+        analyze(bundle)
+        plot_convergence(bundle)
+        files = [c["file"] for c in load_manifest(bundle)["cells"]]
+        assert sorted(parsed) == sorted(files) and len(files) == 4
+
+    def test_keys_with_trailing_nul_bytes_round_trip(self, tmp_path):
+        rows = {bytes(31) + b"\x01": (np.arange(3.0), np.ones(3)), b"\xff" * 30 + bytes(2): (np.zeros(3), np.zeros(3))}
+        _write_curve_digest(tmp_path / CURVES_NAME, rows)
+        loaded = _load_curve_digest(tmp_path / CURVES_NAME)
+        assert set(loaded) == set(rows)
+        for sha, (mean, std) in rows.items():
+            np.testing.assert_array_equal(loaded[sha][0], mean)
+            np.testing.assert_array_equal(loaded[sha][1], std)
+        assert [p.name for p in tmp_path.iterdir()] == [CURVES_NAME]
 
 
 class TestSweep:
