@@ -382,12 +382,16 @@ def _replace_atomically(path: Path, write: Callable[[IO], None], mode: str = "w"
         raise
 
 
+def _write_text(path: Path, text: str) -> None:
+    _replace_atomically(path, lambda fh: fh.write(text))
+
+
 def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> None:
     lines = ["run,generation,best_so_far"]
     for run_index, trace in enumerate(traces, start=1):
         for gen, value in enumerate(trace.best_per_generation, start=1):
             lines.append(f"{run_index},{gen},{format_sci(value)}")
-    _replace_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 _TRACE_ROW = np.dtype([("run", np.int64), ("generation", np.int64), ("best_so_far", np.float64)])
@@ -489,7 +493,7 @@ def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell]) -> 
             _write_trace_csv(out / cell.filename, payload)
             statuses[cell.index] = "ok"
     manifest = _manifest_payload(cfg, kind, cells, statuses)
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
 
 
@@ -554,6 +558,17 @@ def _mean_std(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[np.ndarray, bytes, tuple[np.ndarray, np.ndarray]]]:
+    """``(finals, sha256, (mean, std))`` of one manifest cell, or None if it is
+    unusable: all that ``analyze`` keeps of a trace file. Module-level, so a
+    process pool can run it."""
+    curves = _cell_curves(bundle_dir, cell)
+    if curves is None:
+        return None
+    # A view of the last column would keep the whole matrix alive.
+    return curves[:, -1].copy(), _file_sha256(bundle_dir / cell["file"]), _mean_std(curves)
+
+
 def _write_curve_digest(path: Path, rows: dict[bytes, tuple[np.ndarray, np.ndarray]]) -> None:
     """Save ``sha -> (mean, std)`` as three stacked arrays; rows whose length
     differs from the first row's are left out, and plotting parses those."""
@@ -608,9 +623,13 @@ def analyze(
     (group sizes, control first, and ``mc_samples``) per call, seeded from
     the manifest's ``mc_seed`` and the design, so a block's results depend
     only on its own trace files, alpha and those two manifest entries. An
-    alpha outside (0, 1) or a control the bundle lacks raises
+    alpha outside (0, 1), a control the bundle lacks or a sweep bundle raises
     ``ConfigError`` before anything is written. Also writes the curve digest
     ``curves.npz`` for ``plot_convergence``; the tables never read it.
+
+    The trace files are parsed and reduced with as many worker processes as
+    ``run`` uses (``RCGA_WORKERS``, else the CPU count); the statistics and
+    every written byte do not depend on that count.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -618,6 +637,9 @@ def analyze(
         alpha = float(manifest.get("alpha", 0.05))
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha: must lie in (0, 1), got {alpha:g}")
+    if manifest.get("kind") == "sweep":
+        # Its cells differ only in rate, which the operator blocks cannot tell apart.
+        raise ConfigError(f"{bundle_dir}: a sweep bundle is not analysed; its table is sweep.csv")
     control_label = control_label.upper()
     if control_label in OPERATOR_ALIASES:
         control_label = OPERATOR_ALIASES[control_label].value
@@ -629,21 +651,27 @@ def analyze(
     if control_label not in operators:
         raise ConfigError(f"control: {control_label} is not an operator of this bundle; it has {', '.join(operators)}")
 
+    workers = min(resolve_workers(0), len(cells))
+    reduce_cell = partial(_reduce_cell, bundle_dir)
+    if workers <= 1:
+        reduced = list(map(reduce_cell, cells))
+    else:  # a few chunks per worker: one future per cell costs more than it balances
+        with ProcessPoolExecutor(workers) as pool:
+            reduced = list(pool.map(reduce_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
     nulls = DunnettNulls(int(manifest["mc_seed"]))
     mc_samples = int(manifest.get("mc_samples", 100_000))
     digest: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
         for mutation in mutations:
-            block = [c for c in cells if c["problem"] == problem and c["mutation"] == mutation]
+            block = [(c, r) for c, r in zip(cells, reduced) if c["problem"] == problem and c["mutation"] == mutation]
             if not block:
                 continue
             by_op = {}
-            for c in block:
-                curves = _cell_curves(bundle_dir, c)
-                by_op[c["operator"]] = None if curves is None else curves[:, -1].copy()
-                if curves is not None:
-                    digest[_file_sha256(bundle_dir / c["file"])] = _mean_std(curves)
+            for c, r in block:
+                by_op[c["operator"]] = None if r is None else r[0]
+                if r is not None:
+                    digest[r[1]] = r[2]
             groups = [(op, by_op.get(op)) for op in operators if op in by_op]
             usable = [
                 SampleGroup(f"{op}-{mutation}", vals)
@@ -672,7 +700,7 @@ def _write_summary_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
             else:
                 mean_s, std_s = (format_sci(v, sig_figs) for v in summarize(vals))
             lines.append(f"{a.problem},{op},{a.mutation},{mean_s},{std_s},{kw_cols}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs: int) -> None:
@@ -686,7 +714,7 @@ def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
         for outcome in a.report.dunnett:
             p_s = "-" if outcome.p_value is None else format_sci(outcome.p_value, sig_figs)
             lines.append(f"{a.problem},{outcome.label},{p_s},{outcome.flag}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +769,7 @@ def plot_convergence(
             f"Problem {problem}: {name}", "generation", "best objective (mean of runs)", series
         )
         path = out_dir / f"convergence_p{problem:02d}.svg"
-        path.write_text(svg)
+        _write_text(path, svg)
         written.append(path)
     if not written:
         raise FileNotFoundError(f"{bundle_dir}: no usable traces for problems {wanted}")
@@ -772,7 +800,7 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
         mean, std = summarize(finals)
         lines.append(f"{format_sci(cell['rate'])},{cell['problem']},{format_sci(mean)},{format_sci(std)}")
         per_problem.setdefault(cell["problem"], []).append((cell["rate"], mean, std))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
 
     for problem, rows in per_problem.items():
         rows.sort()
@@ -786,5 +814,5 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
         svg = svgplot.render_panel(
             f"Problem {problem}: {name}", "mutation rate", "final best objective (mean)", series
         )
-        (out / f"sweep_p{problem:02d}.svg").write_text(svg)
+        _write_text(out / f"sweep_p{problem:02d}.svg", svg)
     return out

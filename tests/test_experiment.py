@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -333,27 +334,32 @@ class TestReadTraceCsv:
             read_trace_csv(path)
 
 
+class HalfWriter:
+    """A file opened for writing that writes half of what it is given, then
+    fails like a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def half_writing_open(path, mode="r", **kwargs):
+    """``open``, except that a file opened for writing is a ``HalfWriter``."""
+    return HalfWriter(path, mode) if "w" in mode else open(path, mode, **kwargs)
+
+
 class TestWriteTraceCsv:
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real_open = open
-
-        class HalfWriter:
-            """Writes half of what it is given, then fails like a full disk."""
-
-            def __init__(self, path, mode):
-                self.fh = real_open(path, mode)
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError(28, "No space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(experiment, "open", HalfWriter, raising=False)
+        monkeypatch.setattr(experiment, "open", half_writing_open, raising=False)
         with pytest.raises(OSError, match="No space left"):
             _write_trace_csv(tmp_path / "trace_p01_AX_GM.csv", [trace([3.0, 2.0, 1.0])])
         assert list(tmp_path.iterdir()) == []
@@ -495,6 +501,27 @@ class TestAnalyze:
         for csv in bundle.glob("*.csv"):
             assert csv.read_text().endswith("\n")
 
+    def test_failed_table_write_keeps_the_old_table(self, tmp_path, monkeypatch):
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
+        analyze(bundle)
+        before = sorted(bundle.iterdir())
+        summary = (bundle / "summary.csv").read_bytes()
+        monkeypatch.setattr(experiment, "open", half_writing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            analyze(bundle, sig_figs=2)  # other bytes than the table on disk
+        assert (bundle / "summary.csv").read_bytes() == summary
+        assert sorted(bundle.iterdir()) == before  # no temp file left
+
+    def test_sweep_bundle_is_rejected(self, tmp_path, capsys):
+        bundle = mutation_sweep(write_config(tmp_path / "s.cfg", mutation_rates="0.1, 0.9",
+                                             output_dir=tmp_path / "sweep"))
+        before = sorted(bundle.iterdir())
+        with pytest.raises(ConfigError, match="sweep bundle .* sweep.csv"):
+            analyze(bundle)
+        assert main(["analyze", str(bundle)]) == 2
+        assert "sweep.csv" in capsys.readouterr().err
+        assert sorted(bundle.iterdir()) == before
+
     def test_runs_of_unequal_length_make_a_cell_unusable(self, tmp_path):
         (tmp_path / "t.csv").write_text("run,generation,best_so_far\n1,1,2.0\n1,2,1.0\n2,1,3.0\n")
         assert final_bests(tmp_path, {"status": "ok", "file": "t.csv"}) is None
@@ -590,6 +617,7 @@ class TestCurveDigest:
             return real(path)
 
         monkeypatch.setattr(experiment, "read_trace_csv", counting)
+        monkeypatch.setenv("RCGA_WORKERS", "1")  # the parses are counted in this process
         analyze(bundle)
         plot_convergence(bundle)
         files = [c["file"] for c in load_manifest(bundle)["cells"]]
@@ -604,6 +632,70 @@ class TestCurveDigest:
             np.testing.assert_array_equal(loaded[sha][0], mean)
             np.testing.assert_array_equal(loaded[sha][1], std)
         assert [p.name for p in tmp_path.iterdir()] == [CURVES_NAME]
+
+
+class TestAnalyzeWorkers:
+    """``analyze`` parses and reduces the trace files in a process pool of
+    ``resolve_workers(0)`` workers; nothing it returns or writes depends on that."""
+
+    @staticmethod
+    def bundle(tmp_path) -> Path:
+        return run_experiment(write_config(tmp_path / "a.cfg", problems="9, 1", operators="PSOX, AX, FX",
+                                           mutations="GM, NUM", runs=4))
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        pools = []
+
+        class CountingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RCGA_WORKERS", workers)
+            copy = shutil.copytree(bundle, tmp_path / f"workers-{workers}")
+            analyze(copy)
+            plot_convergence(copy)
+            with np.load(copy / CURVES_NAME) as npz:
+                arrays = dict(npz)
+            files = {p.name: p.read_bytes() for p in copy.iterdir() if p.suffix in (".csv", ".svg")}
+            outputs[workers] = files, arrays
+        assert pools == [2]
+        (files_1, arrays_1), (files_2, arrays_2) = outputs["1"], outputs["2"]
+        assert files_1 == files_2 and {"summary.csv", "dunnett.csv", "convergence_p09.svg"} <= set(files_1)
+        assert arrays_1.keys() == arrays_2.keys() == {"sha", "mean", "std"}
+        for key in arrays_1:
+            np.testing.assert_array_equal(arrays_1[key], arrays_2[key])
+
+    def test_malformed_trace_raises_the_same_error_from_the_pool(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        path = bundle / load_manifest(bundle)["cells"][-1]["file"]
+        lines = path.read_text().splitlines()
+        lines[5] = "2,1,two"
+        path.write_text("\n".join(lines) + "\n")
+        messages = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RCGA_WORKERS", workers)
+            with pytest.raises(ValueError) as info:
+                analyze(bundle)
+            assert type(info.value) is ValueError
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"{path}: line 6: expected integer run and generation and a number: '2,1,two'"
+        assert not (bundle / "summary.csv").exists() and not (bundle / CURVES_NAME).exists()
+
+    def test_one_cell_bundle_starts_no_pool(self, tmp_path, monkeypatch):
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", operators="PSOX"))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one cell")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("RCGA_WORKERS", "2")
+        [analysis] = analyze(bundle)
+        assert [op for op, values in analysis.groups if values is not None] == ["PSOX"]
 
 
 class TestSweep:
@@ -670,6 +762,14 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path / "a.cfg", workers=workers))]) == 2
         assert message in capsys.readouterr().err
         assert not list((tmp_path / "bundle").glob("*"))
+
+    def test_bad_worker_count_exits_2_from_analyze(self, tmp_path, capsys, monkeypatch):
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
+        before = sorted(bundle.iterdir())
+        monkeypatch.setenv("RCGA_WORKERS", "two")
+        assert main(["analyze", str(bundle)]) == 2
+        assert "RCGA_WORKERS: must be an integer >= 0, got 'two'" in capsys.readouterr().err
+        assert sorted(bundle.iterdir()) == before
 
     def test_lost_trace_file_is_skipped_by_analyze_and_plot(self, tmp_path, capsys):
         assert main(["run", str(write_config(tmp_path / "a.cfg", runs=4))]) == 0
