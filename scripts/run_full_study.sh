@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full paper-scale study: 15 problems x 6 operators x 2 mutations x 30 runs
 # at population 300 / 1000 generations, plus the convergence and sweep
-# experiments. Estimated wall time: about an hour on 2 workers, nearly all of
-# it experiment1 (5400 runs at 0.8-1.6 s each).
+# experiments. Estimated wall time: about 20 minutes on 2 workers, nearly all
+# of it experiment1 (one run of each of its 180 cells takes 36-41 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -7,7 +7,7 @@ from .core import (
     RngStream,
     make_rng,
 )
-from .benchmarks import benchmark_eval, benchmark_spec, batch_eval
+from .benchmarks import benchmark_spec, batch_eval
 from .operators import (
     CrossoverConfig,
     CrossoverKind,

@@ -8,8 +8,10 @@ trace) but only PSOX reads it during variation.
 
 Each generation is a handful of matrix operations, and its draw order is
 fixed: the crossover-rate mask, every tournament, the PSOX partners or the
-operator's draws, the mutation draws, then evaluation noise. Identical config
-and seed therefore replay bit-identical runs.
+operator's draws, the mutation's hit mask over the whole population, the
+mutation's draws for the hit genes in row-major order (GM: one normal each;
+NUM: every direction, then every step), then evaluation noise. Identical
+config and seed therefore replay bit-identical runs.
 """
 from __future__ import annotations
 
@@ -118,6 +120,16 @@ def _evaluate(cfg: GaConfig, X: np.ndarray, rng: RngStream) -> np.ndarray:
     return benchmarks.batch_eval(cfg.objective.problem_id, X, rng=rng)
 
 
+def _elite_swap(parents: np.ndarray, children: np.ndarray, e: int):
+    """Slots of the e best parents and of the e worst children, ties broken as a stable sort does.
+
+    One elite, the default, needs no sort: the first minimum and the last maximum.
+    """
+    if e == 1:
+        return int(np.argmin(parents)), children.size - 1 - int(np.argmax(children[::-1]))
+    return np.argsort(parents, kind="stable")[:e], np.argsort(children, kind="stable")[children.size - e :]
+
+
 def init_state(cfg: GaConfig) -> GaState:
     """Uniform-random evaluated population; archive seeded from it."""
     rng = make_rng(cfg.seed)
@@ -199,9 +211,7 @@ def step_generation(state: GaState, psox_audit: Optional[Callable[[int, int], No
     state.evaluations += pop
 
     if cfg.elitism > 0:
-        e = cfg.elitism
-        elite = np.argsort(state.fitness, kind="stable")[:e]
-        doomed = np.argsort(fitness, kind="stable")[pop - e :]
+        elite, doomed = _elite_swap(state.fitness, fitness, cfg.elitism)
         children[doomed] = state.positions[elite]
         fitness[doomed] = state.fitness[elite]
 

@@ -1,13 +1,18 @@
 """Variation and selection operators.
 
 Crossovers come in two arities: AX, FX, BLX-alpha and PSOX emit one child per
-call, SBX and Laplace emit the symmetric pair. All randomized operators draw
+call, SBX and Laplace emit the symmetric pair. The randomized crossovers draw
 fresh numbers per gene from the caller-owned stream, so the scalar textbook
-formulas act independently on every coordinate.
+formulas act independently on every coordinate. A mutation draws one uniform
+per gene for its hit mask, then its step draws for the hit genes only, in
+row-major order of the hits; it clamps only the hit genes, and every other
+gene comes back bit-identical.
 
 Every crossover and mutation takes one ``(n,)`` chromosome or an ``(m, n)``
-matrix of them, drawing row-major, so row r of a matrix call equals the 1-D
-call on row r fed that row's draws. The engine makes one call per generation.
+matrix of them, drawing row-major. Row r of a crossover's matrix call equals
+the 1-D call on row r fed that row's draws. Row r of a mutation's matrix call
+equals the 1-D call on row r fed that row's part of the mask and the draws of
+that row's hits. The engine makes one call per generation.
 
 PSOX is the PSO-flavoured crossover: instead of recombining two parents from
 the current generation, it moves an individual toward another slot's personal
@@ -179,11 +184,28 @@ def psox_crossover(
     return cfg.psox_w * p_i + cfg.psox_c1 * r1 * (pbest_j - p_i) + cfg.psox_c2 * r2 * (gbest - p_i)
 
 
+def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: RngStream, move) -> RealVector:
+    """A copy of x in which only the genes hit at ``rate`` are moved, then clamped to their column's bounds.
+
+    ``move(values, lower, upper)`` gets the hit genes in row-major order with
+    their columns' faces, and makes its draws for those genes only.
+    """
+    out = np.array(x, dtype=float, order="C")
+    genes = out.reshape(-1)
+    flat = np.flatnonzero(rng.random(out.shape) < rate)
+    col = flat % out.shape[-1]
+    lower, upper = b.lower[col], b.upper[col]
+    genes[flat] = np.minimum(np.maximum(move(genes[flat], lower, upper), lower), upper)
+    return out
+
+
 def gaussian_mutation(x: RealVector, b: Bounds, cfg: MutationConfig, rng: RngStream) -> RealVector:
-    """Perturb each gene with rate ``per_gene_rate`` by N(0, sigma_fraction * range); clamp."""
-    hit = rng.random(x.shape) < cfg.per_gene_rate
-    noise = rng.normal(0.0, cfg.gm_sigma_fraction * b.span, x.shape)
-    return np.clip(np.where(hit, x + noise, x), b.lower, b.upper)
+    """Perturb each gene with rate ``per_gene_rate`` by N(0, sigma_fraction * range); clamp it."""
+
+    def move(v, lower, upper):
+        return v + rng.normal(size=v.size) * (cfg.gm_sigma_fraction * (upper - lower))
+
+    return _mutate_hits(x, b, cfg.per_gene_rate, rng, move)
 
 
 def nonuniform_mutation(
@@ -203,12 +225,13 @@ def nonuniform_mutation(
         raise ValueError("nonuniform_mutation: max_gen must be at least 1")
     if not 0 <= gen <= max_gen:
         raise ValueError("nonuniform_mutation: gen must lie in [0, max_gen]")
-    hit = rng.random(x.shape) < cfg.per_gene_rate
-    upward = rng.random(x.shape) < 0.5
-    r = rng.random(x.shape)
-    step = 1.0 - r ** ((1.0 - gen / max_gen) ** cfg.num_b)
-    delta = np.where(upward, (b.upper - x) * step, (b.lower - x) * step)
-    return np.clip(np.where(hit, x + delta, x), b.lower, b.upper)
+
+    def move(v, lower, upper):
+        upward = rng.random(v.size) < 0.5
+        step = 1.0 - rng.random(v.size) ** ((1.0 - gen / max_gen) ** cfg.num_b)
+        return v + (np.where(upward, upper, lower) - v) * step
+
+    return _mutate_hits(x, b, cfg.per_gene_rate, rng, move)
 
 
 def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_criterion_1_benchmark_correctness():
                 ).mean()
                 assert abs(at_opt - spec.optimum_value) <= 0.05 * n, (pid, n, at_opt)
             else:
-                at_opt = benchmarks.benchmark_eval(pid, spec.optimum_location)
+                at_opt = benchmarks.batch_eval(pid, spec.optimum_location[None, :])[0]
                 assert abs(at_opt - spec.optimum_value) <= 1e-12, (pid, n, at_opt)
 
             X = spec.bounds.lower + rng.random((100_000, n)) * spec.bounds.span

@@ -8,7 +8,6 @@ from rcga import benchmarks
 from rcga.benchmarks import (
     REGISTRY,
     batch_eval,
-    benchmark_eval,
     benchmark_spec,
     resolve_problem_id,
 )
@@ -21,69 +20,74 @@ def vec(value, n=N):
     return np.full(n, float(value))
 
 
+def evaluate(problem_id, x, rng=None):
+    """One chromosome's objective, evaluated as a one-row matrix."""
+    return batch_eval(problem_id, np.asarray(x)[None, :], rng=rng)[0]
+
+
 class TestPointEvaluations:
     def test_sphere_origin(self):
-        assert benchmark_eval(9, vec(0)) == 0.0
+        assert evaluate(9, vec(0)) == 0.0
 
     def test_ackley_origin(self):
-        assert abs(benchmark_eval(1, vec(0))) < 1e-12
+        assert abs(evaluate(1, vec(0))) < 1e-12
 
     def test_exponential_origin(self):
-        assert benchmark_eval(2, vec(0)) == -1.0
+        assert evaluate(2, vec(0)) == -1.0
 
     def test_griewank_origin(self):
-        assert abs(benchmark_eval(3, vec(0))) < 1e-12
+        assert abs(evaluate(3, vec(0))) < 1e-12
 
     def test_rastrigin_origin(self):
-        assert abs(benchmark_eval(6, vec(0))) < 1e-12
+        assert abs(evaluate(6, vec(0))) < 1e-12
 
     def test_rosenbrock_ones(self):
-        assert benchmark_eval(7, vec(1)) == 0.0
+        assert evaluate(7, vec(1)) == 0.0
 
     def test_rosenbrock_origin_is_n_minus_one(self):
-        assert benchmark_eval(7, vec(0)) == N - 1
+        assert evaluate(7, vec(0)) == N - 1
 
     def test_levy_montalvo_1_at_minus_ones(self):
-        assert abs(benchmark_eval(4, vec(-1))) < 1e-12
+        assert abs(evaluate(4, vec(-1))) < 1e-12
 
     def test_levy_montalvo_2_at_ones(self):
-        assert abs(benchmark_eval(5, vec(1))) < 1e-12
+        assert abs(evaluate(5, vec(1))) < 1e-12
 
     def test_cigar_coefficients(self):
         x = np.zeros(N)
         x[0] = 1.0
-        assert benchmark_eval(13, x) == 1.0
+        assert evaluate(13, x) == 1.0
         y = np.zeros(N)
         y[1] = 1.0
-        assert benchmark_eval(13, y) == 1e7
+        assert evaluate(13, y) == 1e7
 
     def test_zakharov_origin(self):
-        assert benchmark_eval(8, vec(0)) == 0.0
+        assert evaluate(8, vec(0)) == 0.0
 
     def test_hyper_ellipsoid_origin(self):
-        assert benchmark_eval(10, vec(0)) == 0.0
+        assert evaluate(10, vec(0)) == 0.0
 
     def test_schwefel_4_max_abs(self):
-        assert benchmark_eval(11, np.array([3.0, -7.0, 2.0])) == 7.0
+        assert evaluate(11, np.array([3.0, -7.0, 2.0])) == 7.0
 
     def test_dejong_noise_origin_range(self):
         rng = make_rng(0)
-        value = benchmark_eval(12, vec(0), rng=rng)
+        value = evaluate(12, vec(0), rng=rng)
         assert 0.0 <= value <= N
         # Nondeterministic across stream positions, replayable under a fresh stream.
-        assert benchmark_eval(12, vec(0), rng=rng) != value
-        assert benchmark_eval(12, vec(0), rng=make_rng(0)) == value
+        assert evaluate(12, vec(0), rng=rng) != value
+        assert evaluate(12, vec(0), rng=make_rng(0)) == value
 
     def test_penalized_unconstrained_interiors(self):
-        assert abs(benchmark_eval(14, vec(-1))) < 1e-12
-        assert abs(benchmark_eval(15, vec(1))) < 1e-12
+        assert abs(evaluate(14, vec(-1))) < 1e-12
+        assert abs(evaluate(15, vec(1))) < 1e-12
 
 
 class TestPenaltyU:
-    """The penalty u(x, a, k, m) of problems 14 and 15, as ``_penalty_sum`` over one-gene rows."""
+    """The penalty u(x, a, k, 4) of problems 14 and 15, as ``_penalty_sum`` over one-gene rows."""
 
     def u(self, x):
-        return benchmarks._penalty_sum(np.array([[x]]), 10.0, 100.0, 4.0)[0]
+        return benchmarks._penalty_sum(np.array([[x]]), 10.0, 100.0)[0]
 
     def test_inside_is_free(self):
         assert self.u(5.0) == 0.0
@@ -97,9 +101,9 @@ class TestPenaltyU:
     def test_positivity_and_symmetry_grid(self):
         # Dense grid: the penalty never rewards infeasibility and is mirror-symmetric.
         x = np.linspace(-25.0, 25.0, 2001)[:, None]
-        u = benchmarks._penalty_sum(x, 10.0, 100.0, 4.0)
+        u = benchmarks._penalty_sum(x, 10.0, 100.0)
         assert np.all(u >= 0.0)
-        assert np.array_equal(u, benchmarks._penalty_sum(-x, 10.0, 100.0, 4.0))
+        assert np.array_equal(u, benchmarks._penalty_sum(-x, 10.0, 100.0))
         assert np.all(u[np.abs(x[:, 0]) <= 10.0] == 0.0)
 
 
@@ -126,7 +130,7 @@ class TestRegistry:
     @pytest.mark.parametrize("n", [2, 10, 30])
     def test_optimum_location_evaluates_to_optimum_value(self, pid, n):
         spec = benchmark_spec(pid, dimension=n)
-        assert abs(benchmark_eval(pid, spec.optimum_location) - spec.optimum_value) < 1e-12
+        assert abs(evaluate(pid, spec.optimum_location) - spec.optimum_value) < 1e-12
 
     def test_noisy_optimum_in_expectation(self):
         spec = benchmark_spec(12, dimension=10)
@@ -158,15 +162,15 @@ class TestRegistry:
             batch_eval(7, spec.bounds.lower + rng.random((250_000, 10)) * spec.bounds.span).min()
             for _ in range(4)
         )
-        assert low > benchmark_eval(7, spec.optimum_location)
+        assert low > evaluate(7, spec.optimum_location)
 
     def test_lookup_errors(self):
         with pytest.raises(KeyError):
-            benchmark_eval(16, np.zeros(2))
+            evaluate(16, np.zeros(2))
         with pytest.raises(ValueError):
-            benchmark_eval(7, np.zeros(1))
+            evaluate(7, np.zeros(1))
         with pytest.raises(ValueError):
-            benchmark_eval(12, np.zeros(4))  # noisy problem without a stream
+            evaluate(12, np.zeros(4))  # noisy problem without a stream
 
     def test_resolve_by_name(self):
         assert resolve_problem_id("ackley's problem") == 1
@@ -185,7 +189,7 @@ class TestStructuralProperties:
     @given(st.integers(1, 11) | st.sampled_from([13, 14, 15]), st.integers(0, 2**32 - 1))
     def test_deterministic_problems_are_pure(self, pid, seed):
         x = benchmark_spec(pid, dimension=4).bounds.lower + make_rng(seed).random(4) * benchmark_spec(pid, dimension=4).bounds.span
-        assert benchmark_eval(pid, x) == benchmark_eval(pid, x)
+        assert evaluate(pid, x) == evaluate(pid, x)
 
     def test_batch_matches_scalar(self):
         rng = make_rng(8)
@@ -193,5 +197,5 @@ class TestStructuralProperties:
             spec = benchmark_spec(pid, dimension=6)
             X = spec.bounds.lower + rng.random((5, 6)) * spec.bounds.span
             batched = batch_eval(pid, X)
-            single = [benchmark_eval(pid, row) for row in X]
+            single = [evaluate(pid, row) for row in X]
             assert np.allclose(batched, single, rtol=1e-15, atol=0)

@@ -3,7 +3,7 @@ import pytest
 
 from rcga import benchmarks
 from rcga.core import make_rng
-from rcga.engine import GaConfig, SwarmMemory, init_state, run_ga, step_generation
+from rcga.engine import GaConfig, SwarmMemory, _elite_swap, init_state, run_ga, step_generation
 from rcga.operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
 
 
@@ -122,6 +122,18 @@ class TestStepGeneration:
         state = step_generation(state)
         got = np.sort(state.fitness)
         assert keep[0] in got and keep[1] in got
+
+
+class TestEliteSwap:
+    def test_single_elite_picks_the_slots_of_the_stable_sort(self):
+        # argmin/argmax must break ties as the stable argsort did: first minimum, last maximum.
+        rng = make_rng(17)
+        cases = [rng.integers(0, 3, size=(2, 12)).astype(float) for _ in range(200)]
+        cases.append((np.array([0.0, -0.0, 3.0]), np.array([7.0, -0.0, 7.0, 0.0])))
+        for parents, children in cases:
+            elite, doomed = _elite_swap(parents, children, 1)
+            assert elite == np.argsort(parents, kind="stable")[0]
+            assert doomed == np.argsort(children, kind="stable")[-1]
 
 
 class TestSwarmMemory:

@@ -174,7 +174,8 @@ class TestGaussianMutation:
     def test_zero_rate_is_identity(self):
         x = np.array([0.3, -0.7])
         cfg = MutationConfig(kind=MutationKind.GM, per_gene_rate=0.0)
-        assert np.array_equal(gaussian_mutation(x, unit_bounds(2), cfg, make_rng(5)), x)
+        out = gaussian_mutation(x, unit_bounds(2), cfg, make_rng(5))
+        assert np.array_equal(out, x) and not np.shares_memory(out, x)
 
     def test_std_oracle(self):
         # rate 1, sigma fraction 0.1 on [-1, 1]: per-gene deviation std is 0.2.
@@ -202,7 +203,7 @@ class TestNonuniformMutation:
     def test_zero_rate_is_identity(self):
         x = np.array([0.4, -0.2])
         out = nonuniform_mutation(x, unit_bounds(2), 0, 100, self.cfg(rate=0.0), make_rng(8))
-        assert np.array_equal(out, x)
+        assert np.array_equal(out, x) and not np.shares_memory(out, x)
 
     def test_annealing_shrinks_steps(self):
         n = 10_000
@@ -219,6 +220,77 @@ class TestNonuniformMutation:
     def test_rejects_gen_out_of_range(self):
         with pytest.raises(ValueError):
             nonuniform_mutation(np.zeros(2), unit_bounds(2), 5, 4, self.cfg(), make_rng(0))
+
+
+class CountingRng:
+    """A real stream that records (method, size) of every draw."""
+
+    def __init__(self, seed):
+        self._rng = make_rng(seed)
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self._rng.random(size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.calls.append(("normal", size))
+        return self._rng.normal(loc, scale, size)
+
+
+class TestSparseMutation:
+    """Mutation draws the mask for every gene, then one set of step draws per hit gene."""
+
+    GM = MutationConfig(kind=MutationKind.GM, per_gene_rate=0.3, gm_sigma_fraction=0.5)
+    NUM = MutationConfig(kind=MutationKind.NUM, per_gene_rate=0.3)
+
+    def mutate(self, x, b, cfg, rng):
+        if cfg.kind is MutationKind.GM:
+            return gaussian_mutation(x, b, cfg, rng)
+        return nonuniform_mutation(x, b, 2, 10, cfg, rng)
+
+    @pytest.mark.parametrize("cfg", [GM, NUM], ids=["gm", "num"])
+    def test_genes_not_hit_come_back_bit_identical(self, cfg):
+        # Out-of-box values, a negative zero and a NaN would all change under a clamp or an add.
+        x = np.array([[5.0, -0.0, np.nan, 0.25], [-7.0, 0.5, 1e-300, -0.0]])
+        hit = np.array([[0.9, 0.9, 0.9, 0.1], [0.9, 0.1, 0.9, 0.9]])
+        rng = StubRng(uniforms=[hit, 0.2, 0.4], normals=[0.3])
+        out = self.mutate(x, unit_bounds(4), cfg, rng)
+        spared = hit >= cfg.per_gene_rate
+        assert out[spared].tobytes() == x[spared].tobytes()
+        assert not np.array_equal(out[~spared], x[~spared])
+
+    def test_hit_gene_is_clipped_to_its_own_column(self):
+        b = Bounds(np.array([-1.0, 0.0, 10.0]), np.array([1.0, 5.0, 20.0]))
+        x = np.array([[0.0, 2.5, 15.0], [0.5, 1.0, 12.0]])
+        hit = np.array([[0.0, 0.9, 0.0], [0.9, 0.0, 0.0]])
+        big = np.array([1e6, -1e6, -1e6, 1e6])
+        out = gaussian_mutation(x, b, self.GM, StubRng(uniforms=[hit], normals=[big]))
+        assert out.tolist() == [[1.0, 2.5, 10.0], [0.5, 0.0, 20.0]]
+
+    def test_one_normal_per_hit(self):
+        x = np.zeros((6, 7))
+        rng = CountingRng(40)
+        gaussian_mutation(x, unit_bounds(7), self.GM, rng)
+        k = int((make_rng(40).random(x.shape) < self.GM.per_gene_rate).sum())
+        assert k > 0
+        assert rng.calls == [("random", x.shape), ("normal", k)]
+
+    def test_one_direction_and_one_step_per_hit(self):
+        x = np.zeros((6, 7))
+        rng = CountingRng(41)
+        nonuniform_mutation(x, unit_bounds(7), 2, 10, self.NUM, rng)
+        k = int((make_rng(41).random(x.shape) < self.NUM.per_gene_rate).sum())
+        assert k > 0
+        assert rng.calls == [("random", x.shape), ("random", k), ("random", k)]
+
+    @pytest.mark.parametrize("up,face", [(0.2, 1.0), (0.7, -1.0)], ids=["upward", "downward"])
+    def test_num_hit_gene_matches_the_scalar_formula(self, up, face):
+        gen, max_gen, r, x = 3, 10, 0.6, 0.2
+        expected = x + (face - x) * (1.0 - r ** ((1.0 - gen / max_gen) ** self.NUM.num_b))
+        out = nonuniform_mutation(np.array([x]), unit_bounds(1), gen, max_gen, self.NUM,
+                                  StubRng(uniforms=[0.0, up, r]))
+        assert abs(out[0] - expected) < 1e-15
 
 
 class TestTournament:
@@ -306,23 +378,30 @@ class TestBatchedRows:
             row = psox_crossover(p[r], pbest[r], gbest, cfg, StubRng(uniforms=[a[r], b[r]]))
             assert np.array_equal(out[r], row)
 
+    def hit_slices(self, hit, rate):
+        """Per row, the slice of the per-hit draws that its hits take, in row-major order."""
+        ends = np.cumsum((hit < rate).sum(axis=1))
+        return [slice(a, z) for a, z in zip(ends - (hit < rate).sum(axis=1), ends)]
+
     def test_gaussian_mutation(self):
         (x,) = self.matrices(27, 1, -1.0, 1.0)
         (hit,) = self.draws(28, 1)
-        (noise,) = self.matrices(29, 1)
+        noise = self.matrices(29, 1)[0].ravel()[: (hit < 0.5).sum()]
         cfg = MutationConfig(kind=MutationKind.GM, per_gene_rate=0.5, gm_sigma_fraction=0.1)
         out = gaussian_mutation(x, unit_bounds(self.n), cfg, StubRng(uniforms=[hit], normals=[noise]))
-        for r in range(self.m):
-            rng = StubRng(uniforms=[hit[r]], normals=[noise[r]])
+        for r, part in enumerate(self.hit_slices(hit, 0.5)):
+            rng = StubRng(uniforms=[hit[r]], normals=[noise[part]])
             assert np.array_equal(out[r], gaussian_mutation(x[r], unit_bounds(self.n), cfg, rng))
 
     def test_nonuniform_mutation(self):
         (x,) = self.matrices(30, 1, -1.0, 1.0)
         hit, up, step = self.draws(31, 3)
+        k = (hit < 0.5).sum()
+        up, step = up.ravel()[:k], step.ravel()[:k]
         cfg = MutationConfig(kind=MutationKind.NUM, per_gene_rate=0.5)
         out = nonuniform_mutation(x, unit_bounds(self.n), 3, 10, cfg, StubRng(uniforms=[hit, up, step]))
-        for r in range(self.m):
-            rng = StubRng(uniforms=[hit[r], up[r], step[r]])
+        for r, part in enumerate(self.hit_slices(hit, 0.5)):
+            rng = StubRng(uniforms=[hit[r], up[part], step[part]])
             assert np.array_equal(out[r], nonuniform_mutation(x[r], unit_bounds(self.n), 3, 10, cfg, rng))
 
     def test_tournament_rows(self):
