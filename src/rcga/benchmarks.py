@@ -11,6 +11,14 @@ at the origin: direct evaluation shows Rosenbrock is minimized at the all-ones
 vector, Levy-Montalvo 1 at the all-minus-ones vector, and Levy-Montalvo 2 at
 the all-ones vector (the origin gives n-1, ~0.96 and n respectively). The
 registry records the corrected locations.
+
+The penalized functions (problems 14 and 15) add the box penalty
+``_penalty_sum(X, 10.0, 100.0)``, which starts at |x| = 10 and so lies
+outside both registered boxes ([-10, 10] and [-5.12, 5.12]). They therefore
+equal problems 4 and 5 at every point the engine evaluates, as
+``test_penalized_equal_cores_inside_box`` checks. The published Penalized 2
+starts its penalty at a = 5; the definitions stay until the paper's own are
+at hand.
 """
 from __future__ import annotations
 

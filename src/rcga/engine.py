@@ -116,10 +116,6 @@ class RunTrace:
     evaluations: int
 
 
-def _evaluate(cfg: GaConfig, X: np.ndarray, rng: RngStream) -> np.ndarray:
-    return benchmarks.batch_eval(cfg.objective.problem_id, X, rng=rng)
-
-
 def _elite_swap(parents: np.ndarray, children: np.ndarray, e: int):
     """Slots of the e best parents and of the e worst children, ties broken as a stable sort does.
 
@@ -135,7 +131,7 @@ def init_state(cfg: GaConfig) -> GaState:
     rng = make_rng(cfg.seed)
     bounds = cfg.objective.bounds
     positions = bounds.lower + rng.random((cfg.population_size, bounds.dimension)) * bounds.span
-    fitness = _evaluate(cfg, positions, rng)
+    fitness = benchmarks.batch_eval(cfg.objective.problem_id, positions, rng=rng)
     memory = SwarmMemory.from_population(positions, fitness)
     return GaState(
         config=cfg,
@@ -207,7 +203,7 @@ def step_generation(state: GaState, psox_audit: Optional[Callable[[int, int], No
     else:
         children = nonuniform_mutation(children, bounds, next_gen, max(cfg.generations, 1), mcfg, rng)
 
-    fitness = _evaluate(cfg, children, rng)
+    fitness = benchmarks.batch_eval(cfg.objective.problem_id, children, rng=rng)
     state.evaluations += pop
 
     if cfg.elitism > 0:

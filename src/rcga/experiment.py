@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -132,25 +132,15 @@ def parse_problems(raw: str) -> tuple[int, ...]:
     return _no_repeats(out, "problem")
 
 
-def _parse_operators(raw: str) -> tuple[CrossoverKind, ...]:
+def _parse_kinds(raw: str, names: Mapping, what: str) -> tuple:
+    """Comma-separated kinds looked up, upper-cased, in ``names`` (alias or member name -> kind)."""
     kinds = []
     for token in raw.split(","):
         key = token.strip().upper()
-        if key not in OPERATOR_ALIASES:
-            raise ValueError(f"unknown operator {token.strip()!r}")
-        kinds.append(OPERATOR_ALIASES[key])
-    return _no_repeats(kinds, "operator", lambda kind: kind.value)
-
-
-def _parse_mutations(raw: str) -> tuple[MutationKind, ...]:
-    kinds = []
-    for token in raw.split(","):
-        key = token.strip().upper()
-        try:
-            kinds.append(MutationKind[key])
-        except KeyError:
-            raise ValueError(f"unknown mutation {token.strip()!r}") from None
-    return _no_repeats(kinds, "mutation", lambda kind: kind.value)
+        if key not in names:
+            raise ValueError(f"unknown {what} {token.strip()!r}")
+        kinds.append(names[key])
+    return _no_repeats(kinds, what, lambda kind: kind.value)
 
 
 def _parse_rates(raw: str) -> tuple[float, ...]:
@@ -163,15 +153,6 @@ def _parse_rates(raw: str) -> tuple[float, ...]:
     return _no_repeats(rates, "rate", lambda r: f"{r:g}")  # the trace file name's format
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _config_keys() -> dict:
     """Config key -> (which config it sets, value parser), read off the dataclasses.
 
@@ -181,8 +162,8 @@ def _config_keys() -> dict:
     """
     special = {
         "problems": parse_problems,
-        "operators": _parse_operators,
-        "mutations": _parse_mutations,
+        "operators": partial(_parse_kinds, names=OPERATOR_ALIASES, what="operator"),
+        "mutations": partial(_parse_kinds, names=MutationKind.__members__, what="mutation"),
         "mutation_rates": _parse_rates,
     }
     keys = {}
@@ -193,7 +174,7 @@ def _config_keys() -> dict:
     ):
         for f in fields(cls):
             if f.name not in skip:
-                parse = special.get(f.name) or (_parse_bool if isinstance(f.default, bool) else type(f.default))
+                parse = special.get(f.name) or type(f.default)
                 keys[f.name] = (target, parse)
     return keys
 
@@ -658,8 +639,7 @@ def analyze(
     else:  # a few chunks per worker: one future per cell costs more than it balances
         with ProcessPoolExecutor(workers) as pool:
             reduced = list(pool.map(reduce_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
-    nulls = DunnettNulls(int(manifest["mc_seed"]))
-    mc_samples = int(manifest.get("mc_samples", 100_000))
+    nulls = DunnettNulls(int(manifest["mc_seed"]), int(manifest.get("mc_samples", 100_000)))
     digest: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
@@ -681,7 +661,7 @@ def analyze(
             report = None
             control_group = f"{control_label}-{mutation}"
             if len(usable) >= 2 and any(g.label == control_group for g in usable):
-                report = build_report(usable, control_group, alpha, nulls, mc_samples)
+                report = build_report(usable, control_group, alpha, nulls)
             analyses.append(ProblemAnalysis(problem, mutation, report, groups))
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)

@@ -12,9 +12,10 @@ max-statistic null distribution; both raw p and flag are always reported so
 the orientation can be re-mapped by the reader.
 
 That null depends only on the design: the group sizes, control first, and
-the number of draws. ``DunnettNulls`` samples it at most once per design for
-one analysis, seeded from the analysis seed and the design, and sorts it
-once; each p is then a bisection into the sorted draws.
+the number of draws. ``DunnettNulls(seed, mc_samples)``, its only source,
+samples it at most once per design for one analysis, seeded from the
+analysis seed and the design, and sorts it once; each p is then a
+bisection into the sorted draws.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.stats import chi2, rankdata
-
-from .core import RngStream
 
 FLAG_SIGNIFICANT = "+"
 FLAG_NOT_SIGNIFICANT = "~"
@@ -82,14 +81,6 @@ def summarize(values) -> tuple[float, float]:
     mean = float(np.mean(v))
     std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
     return mean, std
-
-
-def rank_with_ties(values) -> np.ndarray:
-    """Midranks 1..N: tied values share the mean of their rank positions."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("rank_with_ties: empty input")
-    return rankdata(v, method="average")
 
 
 def kw_method(sizes: Sequence[int]) -> str:
@@ -187,7 +178,7 @@ def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[
     if np.all(pooled == pooled[0]):
         return 0.0, 1.0, FLAG_NOT_SIGNIFICANT
 
-    ranks = rank_with_ties(pooled)
+    ranks = rankdata(pooled)  # midranks: tied values share the mean of their positions
     h = 0.0
     offset = 0
     for size in sizes:
@@ -218,7 +209,7 @@ def _dunnett_statistics(control: SampleGroup, treatments: Sequence[SampleGroup])
     return sizes, means, pooled_var
 
 
-def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: RngStream) -> np.ndarray:
+def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
     """``mc_samples`` draws of the max statistic under H0, sorted ascending.
 
     ``sizes`` are the group sizes, control first. Each draw has a shared
@@ -244,21 +235,24 @@ def _upper_tail(sorted_null: np.ndarray, t) -> np.ndarray:
 class DunnettNulls:
     """The Dunnett nulls of one analysis: each design's null is sampled once.
 
-    A design is the group sizes, control first, plus the number of draws;
-    the null depends on nothing else. Each is drawn from a stream seeded by
-    ``seed`` and the design, so a block's p-values depend only on its own
-    data, and every block of that design shares the sorted draws.
+    A design is the group sizes, control first; every null of one instance
+    has ``mc_samples`` draws. Each is drawn from a stream seeded by ``seed``,
+    the group sizes and ``mc_samples``, so a block's p-values depend only on
+    its own data, and every block of that design shares the sorted draws.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, mc_samples: int):
+        if mc_samples < DUNNETT_MIN_SAMPLES:
+            raise ValueError("DunnettNulls: mc_samples must be at least 10^4")
         self.seed = seed
+        self.mc_samples = mc_samples
         self._nulls: dict[tuple[int, ...], np.ndarray] = {}
 
-    def sorted_null(self, sizes: np.ndarray, mc_samples: int) -> np.ndarray:
-        design = (*(int(n) for n in sizes), mc_samples)
+    def sorted_null(self, sizes: np.ndarray) -> np.ndarray:
+        design = (*(int(n) for n in sizes), self.mc_samples)
         if design not in self._nulls:
             rng = np.random.Generator(np.random.PCG64([self.seed, *design]))
-            self._nulls[design] = _sorted_max_null(sizes, mc_samples, rng)
+            self._nulls[design] = _sorted_max_null(sizes, self.mc_samples, rng)
         return self._nulls[design]
 
 
@@ -266,23 +260,18 @@ def dunnett_one_sided(
     control: SampleGroup,
     treatments: Sequence[SampleGroup],
     alpha: float,
-    mc_samples: int,
-    rng: RngStream | DunnettNulls,
+    nulls: DunnettNulls,
 ) -> list[tuple[float, str]]:
     """Family-adjusted one-sided p for each treatment (H1: treatment mean > control mean).
 
-    The null of the max statistic is sampled ``mc_samples`` times from
-    ``rng``; given a ``DunnettNulls`` instead, the comparison takes that
-    analysis's shared null for its design. With zero pooled variance the
-    p-value degenerates to 0 or 1 by the sign of the mean difference, and no
-    null is sampled.
+    The null of the max statistic is ``nulls``' shared null for this
+    design. With zero pooled variance the p-value degenerates to 0 or 1 by
+    the sign of the mean difference, and no null is sampled.
     """
     if len(treatments) == 0:
         raise ValueError("dunnett_one_sided: need at least one treatment")
     if control.values.size < 2 or any(t.values.size < 2 for t in treatments):
         raise ValueError("dunnett_one_sided: every group needs at least 2 values")
-    if mc_samples < DUNNETT_MIN_SAMPLES:
-        raise ValueError("dunnett_one_sided: mc_samples must be at least 10^4")
 
     sizes, means, pooled_var = _dunnett_statistics(control, treatments)
     n0, nj = sizes[0], sizes[1:]
@@ -292,11 +281,7 @@ def dunnett_one_sided(
         return [(0.0, FLAG_SIGNIFICANT) if d > 0 else (1.0, FLAG_NOT_SIGNIFICANT) for d in diffs]
 
     t_obs = diffs / np.sqrt(pooled_var * (1.0 / nj + 1.0 / n0))
-    if isinstance(rng, DunnettNulls):
-        max_null = rng.sorted_null(sizes, mc_samples)
-    else:
-        max_null = _sorted_max_null(sizes, mc_samples, rng)
-    p_values = _upper_tail(max_null, t_obs)
+    p_values = _upper_tail(nulls.sorted_null(sizes), t_obs)
     return [(float(p), FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT) for p in p_values]
 
 
@@ -304,13 +289,12 @@ def build_report(
     groups: Sequence[SampleGroup],
     control_label: str,
     alpha: float,
-    rng: RngStream | DunnettNulls,
-    mc_samples: int = 100_000,
+    nulls: DunnettNulls,
 ) -> StatReport:
     """Two-stage pipeline: omnibus Kruskal-Wallis, then Dunnett versus the control.
 
     The post-hoc runs only on a significant omnibus result; otherwise every
-    Dunnett cell is marked not-run ("-"). ``rng`` is passed on to
+    Dunnett cell is marked not-run ("-"). ``nulls`` is passed on to
     ``dunnett_one_sided``.
     """
     labels = [g.label for g in groups]
@@ -322,7 +306,7 @@ def build_report(
     kw_h, kw_p, kw_flag = kruskal_wallis(groups, alpha)
 
     if kw_flag == FLAG_SIGNIFICANT:
-        outcomes = dunnett_one_sided(control, treatments, alpha, mc_samples, rng)
+        outcomes = dunnett_one_sided(control, treatments, alpha, nulls)
         dunnett = tuple(DunnettOutcome(t.label, p, flag) for t, (p, flag) in zip(treatments, outcomes))
     else:
         dunnett = tuple(DunnettOutcome(t.label, None, FLAG_NOT_RUN) for t in treatments)

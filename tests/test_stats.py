@@ -20,7 +20,6 @@ from rcga.stats import (
     build_report,
     dunnett_one_sided,
     kruskal_wallis,
-    rank_with_ties,
     summarize,
 )
 
@@ -49,26 +48,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-class TestRankWithTies:
-    def test_distinct(self):
-        assert np.array_equal(rank_with_ties([10.0, 20.0, 30.0]), [1.0, 2.0, 3.0])
-
-    def test_pair_tie(self):
-        assert np.array_equal(rank_with_ties([5.0, 5.0]), [1.5, 1.5])
-
-    def test_interior_tie(self):
-        assert np.array_equal(rank_with_ties([3.0, 1.0, 3.0, 2.0]), [3.5, 1.0, 3.5, 2.0])
-
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=60))
-    def test_rank_sum_is_exact(self, values):
-        n = len(values)
-        assert math.fsum(rank_with_ties(values)) == n * (n + 1) / 2
-
-    def test_matches_scipy_midranks(self):
-        values = make_rng(5).integers(0, 8, size=40).astype(float)
-        assert np.array_equal(rank_with_ties(values), scipy.stats.rankdata(values))
 
 
 class TestKruskalWallis:
@@ -143,7 +122,7 @@ class TestDunnettOneSided:
     def test_identical_treatment_not_flagged(self):
         control = SampleGroup("ctl", np.array([1.0, 2.0, 3.0, 4.0]))
         twin = SampleGroup("twin", np.array([1.0, 2.0, 3.0, 4.0]))
-        [(p, flag)] = dunnett_one_sided(control, [twin], 0.05, 10_000, make_rng(1))
+        [(p, flag)] = dunnett_one_sided(control, [twin], 0.05, DunnettNulls(1, 10_000))
         assert p >= 0.4
         assert flag == FLAG_NOT_SIGNIFICANT
 
@@ -151,7 +130,7 @@ class TestDunnettOneSided:
         rng = make_rng(2)
         control = SampleGroup("ctl", rng.standard_normal(30))
         shifted = SampleGroup("t", rng.standard_normal(30) + 2.0)
-        [(p_mc, flag)] = dunnett_one_sided(control, [shifted], 0.05, 100_000, make_rng(3))
+        [(p_mc, flag)] = dunnett_one_sided(control, [shifted], 0.05, DunnettNulls(3, 100_000))
         assert p_mc < 0.001 and flag == FLAG_SIGNIFICANT
         # Analytic oracle: one-sided two-sample pooled t test.
         t_stat, p_ref = scipy.stats.ttest_ind(shifted.values, control.values, alternative="greater")
@@ -161,7 +140,7 @@ class TestDunnettOneSided:
         control = SampleGroup("ctl", np.zeros(4))
         worse = SampleGroup("worse", np.ones(4))
         better = SampleGroup("better", -np.ones(4))
-        results = dunnett_one_sided(control, [worse, better], 0.05, 10_000, make_rng(4))
+        results = dunnett_one_sided(control, [worse, better], 0.05, DunnettNulls(4, 10_000))
         assert results[0] == (0.0, FLAG_SIGNIFICANT)
         assert results[1] == (1.0, FLAG_NOT_SIGNIFICANT)
 
@@ -170,7 +149,7 @@ class TestDunnettOneSided:
         base = [rng.standard_normal(10), rng.standard_normal(10) + 1.0, rng.standard_normal(10) - 0.3]
         def run(transform):
             ctl, t1, t2 = [SampleGroup(str(i), transform(v)) for i, v in enumerate(base)]
-            return dunnett_one_sided(ctl, [t1, t2], 0.05, 50_000, make_rng(6))
+            return dunnett_one_sided(ctl, [t1, t2], 0.05, DunnettNulls(6, 50_000))
         plain = run(lambda v: v)
         moved = run(lambda v: 3.5 * v + 11.0)
         for (pa, fa), (pb, fb) in zip(plain, moved):
@@ -183,28 +162,29 @@ class TestDunnettOneSided:
         control = SampleGroup("ctl", rng.standard_normal(20))
         shifted = SampleGroup("s", rng.standard_normal(20) + 0.6)
         nulls = [SampleGroup(f"n{i}", rng.standard_normal(20)) for i in range(4)]
-        [(p_alone, _)] = dunnett_one_sided(control, [shifted], 0.05, 100_000, make_rng(8))
-        ps = dunnett_one_sided(control, [shifted, *nulls], 0.05, 100_000, make_rng(8))
+        [(p_alone, _)] = dunnett_one_sided(control, [shifted], 0.05, DunnettNulls(8, 100_000))
+        ps = dunnett_one_sided(control, [shifted, *nulls], 0.05, DunnettNulls(8, 100_000))
         assert ps[0][0] > p_alone
 
     def test_requires_enough_samples(self):
         control = SampleGroup("ctl", np.array([1.0, 2.0]))
         t1 = SampleGroup("t", np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            dunnett_one_sided(control, [t1], 0.05, 100, make_rng(0))
+            dunnett_one_sided(control, [t1], 0.05, DunnettNulls(0, 100))
         with pytest.raises(ValueError):
-            dunnett_one_sided(control, [], 0.05, 10_000, make_rng(0))
+            dunnett_one_sided(control, [], 0.05, DunnettNulls(0, 10_000))
 
     def test_fresh_stream_p_matches_mean_over_unsorted_draws(self):
         # Reference: the max-statistic null drawn in the same order from the
-        # same stream, and p as the share of draws at or above t.
+        # stream seeded by the seed and the design, and p as the share of
+        # draws at or above t.
         rng = make_rng(12)
         control = SampleGroup("ctl", rng.standard_normal(8))
         treatments = [SampleGroup(f"t{i}", rng.standard_normal(n) + 0.7) for i, n in enumerate((6, 9))]
-        ps = [p for p, _ in dunnett_one_sided(control, treatments, 0.05, 20_000, make_rng(13))]
+        ps = [p for p, _ in dunnett_one_sided(control, treatments, 0.05, DunnettNulls(13, 20_000))]
 
         n0, nj = 8.0, np.array([6.0, 9.0])
-        draws = make_rng(13)
+        draws = np.random.Generator(np.random.PCG64([13, 8, 6, 9, 20_000]))  # DunnettNulls(13, 20_000)'s stream
         z0 = draws.standard_normal(20_000)
         zt = draws.standard_normal((20_000, 2))
         s = np.sqrt(draws.chisquare(23 - 3, 20_000) / (23 - 3))
@@ -226,32 +206,29 @@ class TestDunnettNulls:
 
     def test_one_null_per_design_seeded_by_the_design(self):
         sizes = np.array([30.0, 30.0, 30.0])
-        nulls = DunnettNulls(7)
-        first = nulls.sorted_null(sizes, 10_000)
-        assert nulls.sorted_null(sizes.copy(), 10_000) is first
+        nulls = DunnettNulls(7, 10_000)
+        first = nulls.sorted_null(sizes)
+        assert nulls.sorted_null(sizes.copy()) is first
         assert np.all(np.diff(first) >= 0)
-        other = nulls.sorted_null(np.array([30.0, 29.0, 30.0]), 10_000)
+        other = nulls.sorted_null(np.array([30.0, 29.0, 30.0]))
         assert other is not first and not np.array_equal(other, first)
         # The same seed and design give the same draws, whatever was sampled before.
-        again = DunnettNulls(7)
-        again.sorted_null(np.array([5.0, 5.0]), 10_000)
-        np.testing.assert_array_equal(again.sorted_null(sizes, 10_000), first)
+        again = DunnettNulls(7, 10_000)
+        again.sorted_null(np.array([5.0, 5.0]))
+        np.testing.assert_array_equal(again.sorted_null(sizes), first)
         rng = np.random.Generator(np.random.PCG64([7, 30, 30, 30, 10_000]))
         np.testing.assert_array_equal(first, _sorted_max_null(sizes, 10_000, rng))
 
-    def test_shared_null_gives_the_same_p_as_its_stream(self):
-        rng = make_rng(31)
-        control = SampleGroup("ctl", rng.standard_normal(10))
-        treatments = [SampleGroup(f"t{i}", rng.standard_normal(10) + 0.8 * i) for i in range(3)]
-        shared = dunnett_one_sided(control, treatments, 0.05, 10_000, DunnettNulls(4))
-        stream = np.random.Generator(np.random.PCG64([4, 10, 10, 10, 10, 10_000]))
-        assert shared == dunnett_one_sided(control, treatments, 0.05, 10_000, stream)
+    def test_fewer_draws_than_the_floor_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"mc_samples must be at least 10\^4"):
+            DunnettNulls(3, 9_999)
+        assert DunnettNulls(3, 10_000).mc_samples == 10_000
 
 
 class TestBuildReport:
     def test_identical_groups_dash_dunnett(self):
         gs = groups([5, 5, 5], [5, 5, 5], [5, 5, 5], labels=["PSOX", "AX", "FX"])
-        report = build_report(gs, "PSOX", 0.05, make_rng(1))
+        report = build_report(gs, "PSOX", 0.05, DunnettNulls(1, 100_000))
         assert report.kw_flag == FLAG_NOT_SIGNIFICANT
         assert all(o.flag == FLAG_NOT_RUN and o.p_value is None for o in report.dunnett)
 
@@ -262,7 +239,7 @@ class TestBuildReport:
             SampleGroup("AX", rng.random(30) + 1.0),
             SampleGroup("FX", rng.random(30) + 2.0),
         ]
-        report = build_report(gs, "PSOX", 0.05, make_rng(3))
+        report = build_report(gs, "PSOX", 0.05, DunnettNulls(3, 100_000))
         assert report.kw_flag == FLAG_SIGNIFICANT
         assert [o.label for o in report.dunnett] == ["AX", "FX"]
         assert all(o.flag == FLAG_SIGNIFICANT for o in report.dunnett)
@@ -271,16 +248,16 @@ class TestBuildReport:
         small = groups([1, 2, 3], [4, 5, 6], [7, 8, 9], labels=["PSOX", "AX", "FX"])
         rng = make_rng(5)
         large = groups(rng.random(10), rng.random(10), labels=["PSOX", "AX"])
-        assert build_report(small, "PSOX", 0.05, make_rng(1)).kw_method == KW_EXACT
-        assert build_report(large, "PSOX", 0.05, make_rng(1)).kw_method == KW_CHI2
+        assert build_report(small, "PSOX", 0.05, DunnettNulls(1, 100_000)).kw_method == KW_EXACT
+        assert build_report(large, "PSOX", 0.05, DunnettNulls(1, 100_000)).kw_method == KW_CHI2
 
     def test_deterministic_given_seed(self):
         rng = make_rng(9)
         gs = groups(rng.random(10), rng.random(10) + 0.2, labels=["PSOX", "AX"])
-        r1 = build_report(gs, "PSOX", 0.05, make_rng(4))
-        r2 = build_report(gs, "PSOX", 0.05, make_rng(4))
+        r1 = build_report(gs, "PSOX", 0.05, DunnettNulls(4, 100_000))
+        r2 = build_report(gs, "PSOX", 0.05, DunnettNulls(4, 100_000))
         assert r1 == r2
 
     def test_missing_control_rejected(self):
         with pytest.raises(ValueError):
-            build_report(groups([1, 2], [3, 4]), "PSOX", 0.05, make_rng(0))
+            build_report(groups([1, 2], [3, 4]), "PSOX", 0.05, DunnettNulls(0, 100_000))
