@@ -533,9 +533,11 @@ def _file_sha256(path: Path) -> bytes:
 
 
 def _mean_std(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-generation mean and std (``ddof=1``; zeros for a single run)."""
+    """Per-generation mean and std (``ddof=1``; zeros for a single run). The
+    std of a generation in which a run reached inf is NaN."""
     mean = curves.mean(axis=0)
-    std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)
+    with np.errstate(invalid="ignore"):
+        std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)
     return mean, std
 
 
@@ -598,15 +600,17 @@ def analyze(
     """Build per-problem summary and post-hoc tables; writes summary.csv and dunnett.csv.
 
     Within each (problem, mutation) block the operators form the comparison
-    groups; ``control_label`` names the control operator. Blocks lacking the
-    control, with fewer than two usable groups, or with single-run cells keep
-    their test columns dashed. The Dunnett null is sampled once per design
-    (group sizes, control first, and ``mc_samples``) per call, seeded from
-    the manifest's ``mc_seed`` and the design, so a block's results depend
-    only on its own trace files, alpha and those two manifest entries. An
-    alpha outside (0, 1), a control the bundle lacks or a sweep bundle raises
-    ``ConfigError`` before anything is written. Also writes the curve digest
-    ``curves.npz`` for ``plot_convergence``; the tables never read it.
+    groups; ``control_label`` names the control operator. A group with a
+    single run or a non-finite final is left out of its block's tests; its
+    summary row still gives the mean and std. Blocks lacking a usable control
+    or with fewer than two usable groups keep their test columns dashed. The
+    Dunnett null is sampled once per design (group sizes, control first, and
+    ``mc_samples``) per call, seeded from the manifest's ``mc_seed`` and the
+    design, so a block's results depend only on its own trace files, alpha
+    and those two manifest entries. An alpha outside (0, 1), a control the
+    bundle lacks or a sweep bundle raises ``ConfigError`` before anything is
+    written. Also writes the curve digest ``curves.npz`` for
+    ``plot_convergence``; the tables never read it.
 
     The trace files are parsed and reduced with as many worker processes as
     ``run`` uses (``RCGA_WORKERS``, else the CPU count); the statistics and
@@ -656,7 +660,7 @@ def analyze(
             usable = [
                 SampleGroup(f"{op}-{mutation}", vals)
                 for op, vals in groups
-                if vals is not None and vals.size >= 2
+                if vals is not None and vals.size >= 2 and np.isfinite(vals).all()
             ]
             report = None
             control_group = f"{control_label}-{mutation}"

@@ -74,12 +74,14 @@ class StatReport:
 
 
 def summarize(values) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n-1 divisor; 0 for n=1)."""
+    """Arithmetic mean and sample standard deviation (n-1 divisor; 0 for n=1).
+    The std of values that include an infinity is NaN."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("summarize: empty input")
     mean = float(np.mean(v))
-    std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
+    with np.errstate(invalid="ignore"):
+        std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
     return mean, std
 
 

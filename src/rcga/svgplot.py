@@ -2,6 +2,14 @@
 
 Renders mean curves with shaded +/-1 std bands, linear or log10 vertical
 axis, ticks, legend and title. Output is deterministic for identical input.
+
+Each polyline's and polygon's ``points`` text is the pixel coordinates as
+"x,y" pairs to two decimals, exactly as ``"%.2f"`` writes them. A series
+whose coordinates all lie in [0, 999.995), as pixel coordinates on the
+chart do, and none of which times 100 rounds to a half integer, is written
+in one numpy pass; any other series falls back to ``"%.2f"`` per point.
+Only finite values set the axis, and a point with a non-finite coordinate
+is left out of its line or band.
 """
 from __future__ import annotations
 
@@ -56,8 +64,48 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
-    """SVG ``points`` text: "x,y" pairs to two decimals, space-separated."""
-    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+    """SVG ``points`` text: "x,y" pairs to two decimals, space-separated.
+
+    Equal to ``" ".join("%.2f,%.2f" % (x, y) ...)`` for any input. ``"%.2f"``
+    rounds the exact value times 100 to whole cents, half to even. When every
+    coordinate lies in [0, 999.995) and ``q = v * 100`` is not a half integer,
+    ``np.rint(q)`` picks the same cents: rounding is monotone and every half
+    integer below 1e5 is a double, so ``q`` lies on the same side of each as
+    the exact product. Those digits are written in one numpy pass; any other
+    input goes through ``"%.2f"`` per point.
+    """
+    v = np.column_stack([px, py]).ravel()
+    with np.errstate(over="ignore"):  # a huge v takes the per-point path
+        q = v * 100.0
+    k = np.rint(q)
+    # NaN, inf and values from 999.995 up fail ``q < 99999.5``; -0.0 and
+    # negative values have the sign bit set.
+    fast = not np.signbit(q).any() and (q < 99999.5).all() and (np.abs(q - k) != 0.5).all()
+    if not fast:
+        return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+    k = k.astype(np.int32)
+    whole, cents = np.divmod(k, 100)
+    # One row per coordinate, "ddd.dd" and a separator; leading zeros are dropped below.
+    rows = np.empty((v.size, 7), dtype=np.uint8)
+    rows[:, 0] = whole // 100
+    rows[:, 1] = whole // 10 % 10
+    rows[:, 2] = whole % 10
+    rows[:, 4] = cents // 10
+    rows[:, 5] = cents % 10
+    rows += ord("0")
+    rows[:, 3] = ord(".")
+    rows[:, 6] = ord(" ")
+    rows[::2, 6] = ord(",")
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 0] = whole >= 100
+    keep[:, 1] = whole >= 10
+    return rows[keep][:-1].tobytes().decode("ascii")
+
+
+def _finite_points(px: np.ndarray, py: np.ndarray) -> str:
+    """``_points`` of the pairs whose coordinates are both finite."""
+    keep = np.isfinite(px) & np.isfinite(py)
+    return _points(px[keep], py[keep])
 
 
 def _tick_label(v: float, log: bool) -> str:
@@ -143,9 +191,9 @@ class _Panel:
         mean, std = np.asarray(s.mean, dtype=float), np.asarray(s.std, dtype=float)
         hi = self.y_pix(self.clamp_y(mean + std))
         lo = self.y_pix(self.clamp_y(mean - std))
-        band = _points(np.concatenate([px, px[::-1]]), np.concatenate([hi, lo[::-1]]))
+        band = _finite_points(np.concatenate([px, px[::-1]]), np.concatenate([hi, lo[::-1]]))
         self.body.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        line = _points(px, self.y_pix(self.clamp_y(mean)))
+        line = _finite_points(px, self.y_pix(self.clamp_y(mean)))
         self.body.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.6"/>')
 
     def add_legend(self, labels_colors):
@@ -172,15 +220,14 @@ def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series
     mean = np.concatenate([np.asarray(s.mean, dtype=float) for s in series])
     std = np.concatenate([np.asarray(s.std, dtype=float) for s in series])
     log_y = bool(np.all(mean > 0.0))
-    if log_y:
-        # Band edges at or below zero are clamped to the axis floor.
-        vals = np.concatenate([mean, mean - std, mean + std])
-        vals = vals[vals > 0.0]
-    else:
-        vals = np.concatenate([mean - std, mean + std])
+    # Only finite values set the axis: a run that reaches inf gives an inf mean
+    # and a NaN std. On a log axis, band edges at or below zero are clamped to
+    # its floor.
+    vals = np.concatenate([mean, mean - std, mean + std])
+    vals = vals[np.isfinite(vals) & (vals > 0.0)] if log_y else vals[np.isfinite(vals)]
+    y_lo, y_hi = (vals.min(), vals.max()) if vals.size else (1.0, 1.0)
     xs = np.concatenate([np.asarray(s.x) for s in series])
-    # NaN band edges (the std of runs that reach inf is NaN) do not set the axis.
-    panel = _Panel(title, x_label, y_label, xs.min(), xs.max(), np.nanmin(vals), np.nanmax(vals), log_y)
+    panel = _Panel(title, x_label, y_label, xs.min(), xs.max(), y_lo, y_hi, log_y)
     colors = []
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]

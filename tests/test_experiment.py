@@ -783,6 +783,34 @@ class TestCli:
         svg = (bundle / "convergence_p09.svg").read_text()
         assert kept["label"] in svg and lost["label"] not in svg
 
+    def test_inf_final_is_left_out_of_the_tests_and_the_plot(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", problems="9, 10", operators="PSOX, AX, FX", runs=4)
+        assert main(["run", str(cfg)]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["analyze", str(bundle)]) == 0
+        tables = {name: (bundle / name).read_text().splitlines() for name in ("summary.csv", "dunnett.csv")}
+        trace = bundle / "trace_p09_AX_GM.csv"
+        lines = trace.read_text().splitlines()
+        last = max(i for i, line in enumerate(lines) if line.startswith("1,"))
+        lines[last] = lines[last].rsplit(",", 1)[0] + ",INF"
+        trace.write_text("\n".join(lines) + "\n")
+
+        assert main(["analyze", str(bundle)]) == 0
+        assert main(["plot", str(bundle)]) == 0
+        summary = (bundle / "summary.csv").read_text().splitlines()
+        assert summary[2].startswith("9,AX,GM,INF,NAN,")
+        for old, new in zip(tables["summary.csv"], summary):
+            if not new.startswith("9,AX,"):
+                assert new.split(",")[:5] == old.split(",")[:5]
+            if not new.startswith("9,"):
+                assert new == old
+        dunnett = (bundle / "dunnett.csv").read_text().splitlines()
+        assert not any(row.startswith("9,AX-GM,") for row in dunnett)
+        assert [row for row in dunnett if row.startswith("10,")] == \
+            [row for row in tables["dunnett.csv"] if row.startswith("10,")]
+        svg = (bundle / "convergence_p09.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "{bundle}", "--alpha", "7"], "alpha: must lie in (0, 1), got 7"),
         (["analyze", "{bundle}", "--control", "FOO"], "control: FOO is not an operator of this bundle; it has PSOX, AX"),

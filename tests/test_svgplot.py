@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from rcga.svgplot import Series, render_panel
+from rcga import svgplot
+from rcga.svgplot import Series, _points, render_panel
 
 X = np.arange(1, 61)  # generation numbers, as plot_convergence passes them
 CLAMPED_STD = np.where(X % 3 == 0, 1.5, np.where(X % 3 == 1, 1.0, 0.5)) / X  # m - sd < 0, = 0, > 0
@@ -50,3 +53,70 @@ def test_axis_choice():
 def test_no_series_rejected():
     with pytest.raises(ValueError, match="no series"):
         render_panel("t", "x", "y", [])
+
+
+def old_points(px, py):
+    """The per-point formatter ``_points`` must match byte for byte."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+
+
+def nudged(k):
+    """A half cent ``(k + 0.5) / 100`` moved by up to three ulps: where "%.2f"
+    rounds the exact binary value and ``v * 100`` could round the other way."""
+    tie = (k + 0.5) / 100
+    return st.integers(-3, 3).map(lambda ulps: tie + ulps * float(np.spacing(tie)))
+
+
+NEAR_TIES = [0.165, 2.675, 1.005, 0.125, 0.375, 999.994, 999.995, 999.996, 1000.0, 12345.678]
+ODD = [-0.0, -0.004, -1.5, 1e300, np.nan, np.inf, -np.inf]
+PIXEL = st.floats(0.0, 999.99)
+EDGE = PIXEL | st.sampled_from(NEAR_TIES) | st.integers(0, 99_999).flatmap(nudged)
+ANY = EDGE | st.floats() | st.sampled_from(ODD)
+
+
+@st.composite
+def one_odd_coordinate(draw):
+    """Pixel-range pairs with one coordinate that only the per-point path writes right."""
+    pairs = draw(st.lists(st.tuples(PIXEL, PIXEL), min_size=1, max_size=40))
+    flat = [c for pair in pairs for c in pair]
+    flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from(NEAR_TIES + ODD) | ANY)
+    return list(zip(flat[::2], flat[1::2]))
+
+
+@given(st.one_of(*(st.lists(st.tuples(c, c), max_size=40) for c in (PIXEL, EDGE, ANY)), one_odd_coordinate()))
+@example([])
+@example([(0.165, 2.675)])
+@example([(1.005, -0.0), (0.0, 760.0)])
+@example([(5.0, -0.0)])
+@example([(5.0, -1.5)])
+@example([(1000.0, 5.0)])
+@example([(np.nan, 1.0), (np.inf, -np.inf)])
+def test_points_equal_the_per_point_expression(pairs):
+    px = np.array([x for x, _ in pairs], dtype=float)
+    py = np.array([y for _, y in pairs], dtype=float)
+    assert _points(px, py) == old_points(px, py)
+
+
+def test_long_run_panel_equals_the_per_point_rendering(monkeypatch):
+    x = np.arange(1, 1001)
+    series = [
+        Series("AX-GM", x, 1e3 / x**1.5, 0.3e3 / x**1.5),
+        Series("PSOX-GM", x, np.exp(-x / 90.0), np.exp(-x / 90.0) / 3.0),
+    ]
+    svg = render_panel("Problem 0: long", "generation", "best objective", series)
+    monkeypatch.setattr(svgplot, "_points", old_points)
+    assert svg == render_panel("Problem 0: long", "generation", "best objective", series)
+
+
+@pytest.mark.parametrize("mean, std", [
+    ([4.0, 2.0, np.inf, 1.0], [1.0, np.nan, np.nan, 0.5]),  # a run reached inf
+    ([-1.0, np.nan, 0.5, np.inf], [0.5, np.nan, 0.25, np.nan]),  # linear axis
+    ([np.inf, np.inf], [np.nan, np.nan]),  # nothing finite to draw
+], ids=["log", "linear", "none_finite"])
+def test_non_finite_points_are_left_out(mean, std):
+    mean, std = np.array(mean), np.array(std)
+    svg = render_panel("t", "x", "y", [Series("AX-GM", np.arange(1, mean.size + 1), mean, std)])
+    band, line = (el.split('points="')[1].split('"')[0] for el in svg.splitlines() if 'points="' in el)
+    assert band.count(",") == np.isfinite(mean + std).sum() + np.isfinite(mean - std).sum()
+    assert line.count(",") == np.isfinite(mean).sum()
+    assert "nan" not in svg and "inf" not in svg
