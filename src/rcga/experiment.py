@@ -602,12 +602,13 @@ def analyze(
     Within each (problem, mutation) block the operators form the comparison
     groups; ``control_label`` names the control operator. A group with a
     single run or a non-finite final is left out of its block's tests; its
-    summary row still gives the mean and std. Blocks lacking a usable control
-    or with fewer than two usable groups keep their test columns dashed. The
-    Dunnett null is sampled once per design (group sizes, control first, and
-    ``mc_samples``) per call, seeded from the manifest's ``mc_seed`` and the
-    design, so a block's results depend only on its own trace files, alpha
-    and those two manifest entries. An alpha outside (0, 1), a control the
+    summary row still gives the mean and std, and its Dunnett row holds
+    dashes. Blocks lacking a usable control or with fewer than two usable
+    groups keep their test columns dashed. The Dunnett null is sampled once
+    per design (group sizes, control first, and ``mc_samples``) per call,
+    seeded from the manifest's ``mc_seed`` and the design, so a block's
+    results depend only on its own trace files, alpha and those two manifest
+    entries. An alpha outside (0, 1), a control the
     bundle lacks or a sweep bundle raises ``ConfigError`` before anything is
     written. Also writes the curve digest ``curves.npz`` for
     ``plot_convergence``; the tables never read it.
@@ -669,7 +670,7 @@ def analyze(
             analyses.append(ProblemAnalysis(problem, mutation, report, groups))
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)
-    _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, sig_figs)
+    _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, control_label, sig_figs)
     _write_curve_digest(bundle_dir / CURVES_NAME, digest)
     return analyses
 
@@ -687,17 +688,21 @@ def _write_summary_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], sig_figs: int) -> None:
+def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], control_label: str, sig_figs: int) -> None:
+    """One row per group of a block without a report, and per treatment of a
+    reported block, in operator order; a treatment left out of the tests gets
+    dashes, like every group of an untested block."""
     lines = ["problem,treatment,p_value,flag"]
     for a in analyses:
-        if a.report is None:
-            for op, _ in a.groups:
-                label = f"{op}-{a.mutation}"
-                lines.append(f"{a.problem},{label},-,-")
-            continue
-        for outcome in a.report.dunnett:
-            p_s = "-" if outcome.p_value is None else format_sci(outcome.p_value, sig_figs)
-            lines.append(f"{a.problem},{outcome.label},{p_s},{outcome.flag}")
+        outcomes = {o.label: o for o in a.report.dunnett} if a.report else {}
+        for op, _ in a.groups:
+            if a.report is not None and op == control_label:
+                continue
+            label = f"{op}-{a.mutation}"
+            outcome = outcomes.get(label)
+            p_s = "-" if outcome is None or outcome.p_value is None else format_sci(outcome.p_value, sig_figs)
+            flag = FLAG_NOT_RUN if outcome is None else outcome.flag
+            lines.append(f"{a.problem},{label},{p_s},{flag}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -16,6 +16,10 @@ the number of draws. ``DunnettNulls(seed, mc_samples)``, its only source,
 samples it at most once per design for one analysis, seeded from the
 analysis seed and the design, and sorts it once; each p is then a
 bisection into the sorted draws.
+
+The module loads no scipy on import. Midranks are computed here with numpy;
+only the chi-square tail of ``kruskal_wallis`` imports ``scipy.special``, on
+its first use, so a process that runs no large-design test never loads scipy.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 FLAG_SIGNIFICANT = "+"
 FLAG_NOT_SIGNIFICANT = "~"
@@ -113,6 +116,16 @@ def _combinations(m: int, n: int) -> np.ndarray:
     return combos
 
 
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of ``values`` (tied values share the mean of their 1-based
+    positions) and the size of each tie run, in ascending order of value."""
+    order = np.argsort(values)
+    _, first, counts = np.unique(values[order], return_index=True, return_counts=True)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(first + 0.5 * (counts + 1), counts)
+    return ranks, counts
+
+
 def _exact_kw_p(ranks: np.ndarray, sizes: Sequence[int]) -> float:
     """Exact upper tail P(H >= h_obs) over every distinct assignment of the
     pooled midranks to groups of the given sizes.
@@ -180,7 +193,7 @@ def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[
     if np.all(pooled == pooled[0]):
         return 0.0, 1.0, FLAG_NOT_SIGNIFICANT
 
-    ranks = rankdata(pooled)  # midranks: tied values share the mean of their positions
+    ranks, tie_counts = _midranks(pooled)
     h = 0.0
     offset = 0
     for size in sizes:
@@ -189,14 +202,15 @@ def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[
         offset += size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
 
-    _, tie_counts = np.unique(pooled, return_counts=True)
     correction = 1.0 - float(np.sum(tie_counts**3 - tie_counts)) / (n_total**3 - n_total)
     h = max(h / correction, 0.0)
 
     if kw_method(sizes) == KW_EXACT:
         p = _exact_kw_p(ranks, sizes)
     else:
-        p = float(chi2.sf(h, len(groups) - 1))
+        from scipy.special import chdtrc  # the chi-square survival function; loads scipy on first use
+
+        p = float(chdtrc(len(groups) - 1, h))
     flag = FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT
     return h, p, flag
 

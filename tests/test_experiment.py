@@ -440,12 +440,24 @@ class TestAnalyze:
         dunnett = (bundle / "dunnett.csv").read_text().splitlines()
         assert dunnett[1] == "9,AX-GM,-,-"
 
+    def test_treatment_left_out_of_the_tests_gets_a_dashed_row(self, tmp_path):
+        finals = planted_finals((1, 2))
+        finals[1, "AX"] = finals[1, "AX"][:1]  # a single run
+        bundle = write_bundle(tmp_path / "b", finals, failed={(2, "AX")})
+        analyses = analyze(bundle)
+        assert [a.report.kw_flag for a in analyses] == ["+", "+"]
+        rows = [row.split(",") for row in (bundle / "dunnett.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["1", "AX-GM"], ["1", "FX-GM"], ["2", "AX-GM"], ["2", "FX-GM"]]
+        assert rows[0][2:] == rows[2][2:] == ["-", "-"]
+        assert rows[1][3] == rows[3][3] == "+" and "-" not in (rows[1][2], rows[3][2])
+
     def test_single_cell_bundle_dashes_kw(self, tmp_path):
         bundle = run_experiment(write_config(tmp_path / "a.cfg", operators="PSOX"))
         analyses = analyze(bundle)
         assert analyses[0].report is None
         summary = (bundle / "summary.csv").read_text().splitlines()
         assert summary[1].endswith(",-")
+        assert (bundle / "dunnett.csv").read_text().splitlines()[1:] == ["9,PSOX-GM,-,-"]
 
     def test_missing_cell_marked_incomplete(self, tmp_path):
         bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
@@ -805,7 +817,9 @@ class TestCli:
             if not new.startswith("9,"):
                 assert new == old
         dunnett = (bundle / "dunnett.csv").read_text().splitlines()
-        assert not any(row.startswith("9,AX-GM,") for row in dunnett)
+        block = [row for row in dunnett if row.startswith("9,")]
+        assert [row.split(",")[1] for row in block] == ["AX-GM", "FX-GM"]
+        assert block[0] == "9,AX-GM,-,-"
         assert [row for row in dunnett if row.startswith("10,")] == \
             [row for row in tables["dunnett.csv"] if row.startswith("10,")]
         svg = (bundle / "convergence_p09.svg").read_text()

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rcga
 from rcga.core import make_rng
 from rcga.stats import (
     FLAG_NOT_RUN,
@@ -15,6 +21,7 @@ from rcga.stats import (
     KW_EXACT,
     DunnettNulls,
     SampleGroup,
+    _midranks,
     _sorted_max_null,
     _upper_tail,
     build_report,
@@ -116,6 +123,67 @@ class TestKruskalWallis:
             kruskal_wallis(groups([1, 2, 3]))
         with pytest.raises(ValueError):
             kruskal_wallis(groups([1, 2], [3]))
+
+
+# Values with many exact ties: signed zeros, integer-valued floats and a few others.
+tied_values = st.lists(
+    st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.5, 1e-300, -7.25, 1e6]) | st.floats(-1e3, 1e3),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestMidranks:
+    @given(tied_values)
+    def test_equals_scipy_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        ranks, tie_counts = _midranks(x)
+        expected = scipy.stats.rankdata(x)
+        assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(tie_counts, np.unique(x, return_counts=True)[1])
+
+    def test_signed_zeros_tie(self):
+        ranks, tie_counts = _midranks(np.array([0.0, -0.0, 2.0, -1.0, 0.0]))
+        assert ranks.tolist() == [3.0, 3.0, 5.0, 1.0, 3.0] and tie_counts.tolist() == [1, 3, 1]
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_p_equals_scipy_chi2_sf_bit_for_bit(self, k):
+        rng = make_rng(100 + k)
+        # Rounded values tie; 10 runs per group put every k on the chi-square branch.
+        gs = groups(*[np.round(rng.random(10) + 0.1 * i, 1) for i in range(k)])
+        h, p, _ = kruskal_wallis(gs)
+        assert float(p).hex() == float(scipy.stats.chi2.sf(h, k - 1)).hex()
+
+
+class TestScipyLoading:
+    # A fresh interpreter: this module has already loaded scipy.stats itself.
+    SCRIPT = """
+import json, sys
+import numpy as np
+import rcga, rcga.cli, rcga.experiment, rcga.svgplot
+from rcga.stats import SampleGroup, kruskal_wallis
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": loaded()}
+kruskal_wallis([SampleGroup(str(i), np.arange(3.0) + i) for i in range(3)])
+seen["exact"] = loaded()
+kruskal_wallis([SampleGroup(str(i), np.arange(30.0) + i) for i in range(2)])
+seen["chi2"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_only_the_chi_square_tail_loads_scipy_special(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(rcga.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["import"] == [] and seen["exact"] == []
+        assert "scipy.special" in seen["chi2"]
+        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in seen["chi2"])
 
 
 class TestDunnettOneSided:
