@@ -428,20 +428,21 @@ def _find_bad_line(path: Path) -> Optional[str]:
 
 
 def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], statuses: dict[int, str]) -> dict:
+    """The manifest of a bundle; its grid axes are those of ``cells``, in order."""
     return {
         "format": "rcga-bundle-v1",
         "kind": kind,
         "name": cfg.name,
-        "problems": list(cfg.problems),
-        "operators": [k.value for k in cfg.operators],
-        "mutations": [m.value for m in cfg.mutations],
+        "problems": list(dict.fromkeys(c.problem for c in cells)),
+        "operators": list(dict.fromkeys(c.operator.value for c in cells)),
+        "mutations": list(dict.fromkeys(c.mutation.value for c in cells)),
         "mutation_rates": list(cfg.mutation_rates) if kind == "sweep" else None,
         "dimension": cfg.dimension,
         "population_size": cfg.population_size,
         "generations": cfg.generations,
         "runs": cfg.runs,
         "crossover_rate": cfg.crossover.crossover_rate,
-        "mutation_rate": cfg.mutation_rate,
+        "mutation_rate": None if kind == "sweep" else cfg.mutation_rate,
         "master_seed": cfg.seed,
         "mc_seed": cfg.seed,
         "mc_samples": cfg.mc_samples,
@@ -532,15 +533,6 @@ def _file_sha256(path: Path) -> bytes:
     return hashlib.sha256(path.read_bytes()).digest()
 
 
-def _mean_std(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-generation mean and std (``ddof=1``; zeros for a single run). The
-    std of a generation in which a run reached inf is NaN."""
-    mean = curves.mean(axis=0)
-    with np.errstate(invalid="ignore"):
-        std = curves.std(axis=0, ddof=1) if curves.shape[0] > 1 else np.zeros_like(mean)
-    return mean, std
-
-
 def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[np.ndarray, bytes, tuple[np.ndarray, np.ndarray]]]:
     """``(finals, sha256, (mean, std))`` of one manifest cell, or None if it is
     unusable: all that ``analyze`` keeps of a trace file. Module-level, so a
@@ -549,7 +541,7 @@ def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[np.ndarray, byt
     if curves is None:
         return None
     # A view of the last column would keep the whole matrix alive.
-    return curves[:, -1].copy(), _file_sha256(bundle_dir / cell["file"]), _mean_std(curves)
+    return curves[:, -1].copy(), _file_sha256(bundle_dir / cell["file"]), summarize(curves)
 
 
 def _write_curve_digest(path: Path, rows: dict[bytes, tuple[np.ndarray, np.ndarray]]) -> None:
@@ -719,7 +711,7 @@ def _cell_mean_std(bundle_dir: Path, cell: dict, digest: dict) -> Optional[tuple
         if hit is not None:
             return hit
     curves = _cell_curves(bundle_dir, cell)
-    return None if curves is None else _mean_std(curves)
+    return None if curves is None else summarize(curves)
 
 
 def plot_convergence(

@@ -76,16 +76,18 @@ class StatReport:
     dunnett: tuple[DunnettOutcome, ...]
 
 
-def summarize(values) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n-1 divisor; 0 for n=1).
-    The std of values that include an infinity is NaN."""
+def summarize(values) -> tuple:
+    """Arithmetic mean and sample standard deviation over the first axis
+    (n-1 divisor; 0 for n=1). A vector gives two floats; a (runs,
+    generations) matrix gives per-generation arrays. The std of values that
+    include an infinity is NaN."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("summarize: empty input")
-    mean = float(np.mean(v))
+    mean = v.mean(axis=0)
     with np.errstate(invalid="ignore"):
-        std = float(np.std(v, ddof=1)) if v.size > 1 else 0.0
-    return mean, std
+        std = v.std(axis=0, ddof=1) if v.shape[0] > 1 else np.zeros_like(mean)
+    return (float(mean), float(std)) if v.ndim == 1 else (mean, std)
 
 
 def kw_method(sizes: Sequence[int]) -> str:
@@ -215,16 +217,6 @@ def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[
     return h, p, flag
 
 
-def _dunnett_statistics(control: SampleGroup, treatments: Sequence[SampleGroup]):
-    """Per-treatment t statistics with pooled within-group variance."""
-    all_groups = [control, *treatments]
-    sizes = np.array([g.values.size for g in all_groups], dtype=float)
-    means = np.array([float(np.mean(g.values)) for g in all_groups])
-    sum_sq = sum(float(np.sum((g.values - np.mean(g.values)) ** 2)) for g in all_groups)
-    pooled_var = sum_sq / (int(np.sum(sizes)) - len(all_groups))
-    return sizes, means, pooled_var
-
-
 def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
     """``mc_samples`` draws of the max statistic under H0, sorted ascending.
 
@@ -289,7 +281,11 @@ def dunnett_one_sided(
     if control.values.size < 2 or any(t.values.size < 2 for t in treatments):
         raise ValueError("dunnett_one_sided: every group needs at least 2 values")
 
-    sizes, means, pooled_var = _dunnett_statistics(control, treatments)
+    all_groups = [control, *treatments]
+    sizes = np.array([g.values.size for g in all_groups], dtype=float)
+    means = np.array([float(np.mean(g.values)) for g in all_groups])
+    sum_sq = sum(float(np.sum((g.values - np.mean(g.values)) ** 2)) for g in all_groups)
+    pooled_var = sum_sq / (int(np.sum(sizes)) - len(all_groups))
     n0, nj = sizes[0], sizes[1:]
     diffs = means[1:] - means[0]
 

@@ -1,7 +1,8 @@
 """Minimal self-contained SVG line plots (no plotting framework).
 
-Renders mean curves with shaded +/-1 std bands, linear or log10 vertical
-axis, ticks, legend and title. Output is deterministic for identical input.
+One function, ``render_panel``, draws a panel: mean curves with shaded
++/-1 std bands, linear or log10 vertical axis, ticks, legend and title.
+Output is deterministic for identical input.
 
 Each polyline's and polygon's ``points`` text is the pixel coordinates as
 "x,y" pairs to two decimals, exactly as ``"%.2f"`` writes them. A series
@@ -37,16 +38,14 @@ class Series:
 
 def _nice_step(span: float) -> float:
     raw = span / 5.0
-    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    mag = 10.0 ** math.floor(math.log10(raw))
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
             return mult * mag
     return 10.0 * mag
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -116,103 +115,6 @@ def _tick_label(v: float, log: bool) -> str:
     return f"{v:g}"
 
 
-class _Panel:
-    """Coordinate mapping plus element accumulation for one chart."""
-
-    def __init__(self, title, x_label, y_label, x_lo, x_hi, y_lo, y_hi, log_y):
-        self.log_y = log_y
-        self.x_lo, self.x_hi = x_lo, max(x_hi, x_lo + 1e-12)
-        if log_y:
-            self.y_lo, self.y_hi = math.log10(y_lo), math.log10(y_hi)
-        else:
-            self.y_lo, self.y_hi = y_lo, y_hi
-        if self.y_hi - self.y_lo < 1e-12:
-            self.y_hi = self.y_lo + 1.0
-        self.body: list[str] = []
-        self._chrome(title, x_label, y_label)
-
-    def x_pix(self, x):
-        """Pixel column of a data x, a number or an array of them."""
-        frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
-        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
-
-    def y_pix(self, y):
-        """Pixel row of a data y, a number or an array of them."""
-        v = np.log10(y) if self.log_y else y
-        frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
-
-    def clamp_y(self, y: np.ndarray) -> np.ndarray:
-        """On a log axis, values below the axis floor are raised to it."""
-        if self.log_y:
-            floor = 10.0**self.y_lo
-            return np.where(y < floor, floor, y)
-        return y
-
-    def _chrome(self, title, x_label, y_label):
-        b = self.body
-        b.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-        x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
-        x1, y1 = WIDTH - MARGIN_R, MARGIN_T
-        b.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
-        b.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-        b.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>'
-        )
-        b.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
-        b.append(
-            f'<text x="20" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 20 {(y0 + y1) / 2:.1f})">{y_label}</text>'
-        )
-        x_ticks = _linear_ticks(self.x_lo, self.x_hi)
-        y_vals = _log_ticks(10.0**self.y_lo, 10.0**self.y_hi) if self.log_y else _linear_ticks(self.y_lo, self.y_hi)
-        for t in x_ticks:
-            px = self.x_pix(t)
-            b.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
-            b.append(
-                f'<text x="{px:.1f}" y="{y0 + 19}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_tick_label(t, False)}</text>'
-            )
-        for t in y_vals:
-            py = self.y_pix(t)
-            b.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
-            b.append(f'<line x1="{x0}" y1="{py:.1f}" x2="{x1}" y2="{py:.1f}" stroke="#dddddd" stroke-width="0.5"/>')
-            b.append(
-                f'<text x="{x0 - 9}" y="{py + 4:.1f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_tick_label(t, self.log_y)}</text>'
-            )
-
-    def add_series(self, s: Series, color: str):
-        px = self.x_pix(np.asarray(s.x))
-        mean, std = np.asarray(s.mean, dtype=float), np.asarray(s.std, dtype=float)
-        hi = self.y_pix(self.clamp_y(mean + std))
-        lo = self.y_pix(self.clamp_y(mean - std))
-        band = _finite_points(np.concatenate([px, px[::-1]]), np.concatenate([hi, lo[::-1]]))
-        self.body.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        line = _finite_points(px, self.y_pix(self.clamp_y(mean)))
-        self.body.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.6"/>')
-
-    def add_legend(self, labels_colors):
-        lx = WIDTH - MARGIN_R + 14
-        for row, (label, color) in enumerate(labels_colors):
-            ly = MARGIN_T + 14 + row * 20
-            self.body.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2.5"/>')
-            self.body.append(
-                f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="12">{label}</text>'
-            )
-
-    def render(self) -> str:
-        head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-        )
-        return head + "\n" + "\n".join(self.body) + "\n</svg>\n"
-
-
 def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series]) -> str:
     """Render one chart; log vertical axis iff every plotted value is positive."""
     if not series:
@@ -221,17 +123,86 @@ def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series
     std = np.concatenate([np.asarray(s.std, dtype=float) for s in series])
     log_y = bool(np.all(mean > 0.0))
     # Only finite values set the axis: a run that reaches inf gives an inf mean
-    # and a NaN std. On a log axis, band edges at or below zero are clamped to
-    # its floor.
+    # and a NaN std.
     vals = np.concatenate([mean, mean - std, mean + std])
     vals = vals[np.isfinite(vals) & (vals > 0.0)] if log_y else vals[np.isfinite(vals)]
     y_lo, y_hi = (vals.min(), vals.max()) if vals.size else (1.0, 1.0)
+    if log_y:
+        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
+    if y_hi - y_lo < 1e-12:
+        y_hi = y_lo + 1.0
+    # On a log axis, series values below the axis floor (band edges at or
+    # below zero) are raised to it.
+    y_floor = 10.0**y_lo if log_y else -np.inf
     xs = np.concatenate([np.asarray(s.x) for s in series])
-    panel = _Panel(title, x_label, y_label, xs.min(), xs.max(), y_lo, y_hi, log_y)
-    colors = []
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        panel.add_series(s, color)
-        colors.append((s.label, color))
-    panel.add_legend(colors)
-    return panel.render()
+    x_lo, x_hi = xs.min(), xs.max()
+    if x_hi - x_lo < 1e-12:  # every point at one x, as in a one-rate sweep
+        x_hi = x_lo + 1.0
+
+    def x_pix(x):
+        """Pixel column of a data x, a number or an array of them."""
+        frac = (x - x_lo) / (x_hi - x_lo)
+        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
+
+    def y_pix(y):
+        """Pixel row of a data y, a number or an array of them."""
+        v = np.log10(y) if log_y else y
+        frac = (v - y_lo) / (y_hi - y_lo)
+        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
+
+    b = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
+    x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
+    x1, y1 = WIDTH - MARGIN_R, MARGIN_T
+    b.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
+    b.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
+    b.append(
+        f'<text x="{(x0 + x1) / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>'
+    )
+    b.append(
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+    )
+    b.append(
+        f'<text x="20" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 20 {(y0 + y1) / 2:.1f})">{y_label}</text>'
+    )
+    for t in _linear_ticks(x_lo, x_hi):
+        px = x_pix(t)
+        b.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
+        b.append(
+            f'<text x="{px:.1f}" y="{y0 + 19}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{_tick_label(t, False)}</text>'
+        )
+    for t in _log_ticks(10.0**y_lo, 10.0**y_hi) if log_y else _linear_ticks(y_lo, y_hi):
+        py = y_pix(t)
+        b.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
+        b.append(f'<line x1="{x0}" y1="{py:.1f}" x2="{x1}" y2="{py:.1f}" stroke="#dddddd" stroke-width="0.5"/>')
+        b.append(
+            f'<text x="{x0 - 9}" y="{py + 4:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{_tick_label(t, log_y)}</text>'
+        )
+
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
+    for s, color in zip(series, colors):
+        px = x_pix(np.asarray(s.x))
+        mean, std = np.asarray(s.mean, dtype=float), np.asarray(s.std, dtype=float)
+        hi = y_pix(np.maximum(mean + std, y_floor))
+        lo = y_pix(np.maximum(mean - std, y_floor))
+        band = _finite_points(np.concatenate([px, px[::-1]]), np.concatenate([hi, lo[::-1]]))
+        b.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
+        line = _finite_points(px, y_pix(np.maximum(mean, y_floor)))
+        b.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.6"/>')
+
+    lx = WIDTH - MARGIN_R + 14
+    for row, (s, color) in enumerate(zip(series, colors)):
+        ly = MARGIN_T + 14 + row * 20
+        b.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2.5"/>')
+        b.append(
+            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="12">{s.label}</text>'
+        )
+    return "\n".join(b) + "\n</svg>\n"

@@ -154,7 +154,19 @@ class TestParseConfig:
         ("selection_k", 0, "must be >= 1"),
         ("elitism", -1, r"must lie in \[0, population_size\]"),
         ("elitism", 17, r"must lie in \[0, population_size\]"),  # population_size is 16
-    ], ids=["selection_k_zero", "elitism_negative", "elitism_above_population"])
+        ("population_size", 1, "must be >= 2"),
+        ("generations", 0, "must be >= 1"),
+        ("dimension", 1, r"must be >= 2 \(chained benchmarks need two genes\)"),
+        ("mutation_rate", -0.1, r"must lie in \[0, 1\]"),
+        ("mutation_rate", 1.5, r"must lie in \[0, 1\]"),
+        ("alpha", 0.0, r"must lie in \(0, 1\)"),
+        ("alpha", 1.0, r"must lie in \(0, 1\)"),
+        ("seed", -1, "must be non-negative"),
+    ], ids=[
+        "selection_k_zero", "elitism_negative", "elitism_above_population", "population_size_one",
+        "generations_zero", "dimension_one", "mutation_rate_negative", "mutation_rate_above_one",
+        "alpha_zero", "alpha_one", "seed_negative",
+    ])
     def test_selection_parameter_out_of_range_rejected(self, tmp_path, capsys, key, value, message):
         path = write_config(tmp_path / "a.cfg", **{key: value})
         with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: {message}"):
@@ -729,6 +741,12 @@ class TestSweep:
         manifest = load_manifest(bundle)
         assert manifest["kind"] == "sweep"
         assert all(c["operator"] == "PSOX" and c["mutation"] == "GM" for c in manifest["cells"])
+        # The grid axes are those of the cells run, not the config's experiment grid.
+        assert manifest["problems"] == [9, 6]
+        assert manifest["operators"] == ["PSOX"]
+        assert manifest["mutations"] == ["GM"]
+        assert manifest["mutation_rates"] == [0.1, 0.5, 1.0]
+        assert manifest["mutation_rate"] is None
 
     def test_sweep_defaults_applied(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -750,6 +768,31 @@ class TestCli:
         assert main(["plot", str(bundle), "--problems", "9"]) == 0
         out = capsys.readouterr().out
         assert "summary.csv" in out and "convergence_p09.svg" in out
+
+    def test_sweep_command(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        assert main(["sweep", str(cfg)]) == 0
+        bundle = tmp_path / "bundle"
+        assert f"sweep written to {bundle}" in capsys.readouterr().out
+        assert len((bundle / "sweep.csv").read_text().splitlines()) == 5  # header + 2 rates x 2 problems
+
+    def test_sweep_command_with_a_failed_problem(self, tmp_path, monkeypatch):
+        real = experiment.benchmarks.batch_eval
+
+        def flaky(problem_id, X, rng=None):
+            if problem_id == 6:
+                raise RuntimeError("synthetic evaluation failure")
+            return real(problem_id, X, rng=rng)
+
+        monkeypatch.setattr("rcga.engine.benchmarks.batch_eval", flaky)
+        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        assert main(["sweep", str(cfg)]) == 0
+        bundle = tmp_path / "bundle"
+        rows = (bundle / "sweep.csv").read_text().splitlines()[1:]
+        assert [r for r in rows if r.split(",")[1] == "6"] == ["1.00000E-01,6,-,-", "1.00000E+00,6,-,-"]
+        assert all(not r.endswith(",-,-") for r in rows if r.split(",")[1] == "9")
+        assert (bundle / "sweep_p09.svg").is_file()
+        assert not (bundle / "sweep_p06.svg").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path / "a.cfg", runs="0")

@@ -52,6 +52,14 @@ class TestSummarize:
         assert abs(mean - oracle_mean) < 1e-12
         assert abs(std - oracle_std) < 1e-12
 
+    def test_matrix_reduces_each_column(self):
+        curves = make_rng(22).random((5, 4))
+        mean, std = summarize(curves)
+        for g in range(4):
+            assert (mean[g], std[g]) == summarize(curves[:, g])
+        mean, std = summarize(curves[:1])
+        assert np.array_equal(mean, curves[0]) and np.array_equal(std, np.zeros(4))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])

@@ -27,14 +27,25 @@ CASES = {
     "sweep_lists": [
         Series("PSOX-GM", [0.1, 0.4, 0.7, 1.0], [3.25, 0.5, 0.125, 0.0625], [1.0, 0.25, 0.0, 0.03125]),
     ],
+    # A run that reached inf: an inf mean with a NaN std.
+    "inf_mean": [
+        Series("AX-GM", X[:8], [8.0, 4.0, np.inf, 2.0, 1.0, np.inf, 0.5, 0.25],
+               [1.0, 0.5, np.nan, 0.25, 0.0, np.nan, 0.125, 0.0625]),
+    ],
+    # More series than PALETTE has colours: the colours wrap around.
+    "palette_wrap": [Series(f"S{i}", X, (i + 1) / X, 0.25 / X) for i in range(len(svgplot.PALETTE) + 2)],
 }
 
-# SHA-256 of each panel, recorded from the per-point renderer this one replaced.
+# SHA-256 of each panel: the first four recorded from the per-point renderer
+# that the one-pass ``_points`` replaced, the last two from the renderer
+# before its drawing steps were folded into ``render_panel``.
 DIGESTS = {
     "log": "f34f62a6efd92dcdc28b3eab36ced4d912251fae33dabcdcaa3e45600ff6fc42",
     "linear": "186a67f4089488e5a975be88f1ff471dce678a64a390c049f3f0424da507c0cf",
     "log_clamped_band": "6259c632c1b0fbc339e94834b2c275200c2c9326fb773359cd14f7106d4b0848",
     "sweep_lists": "005dbb07c278486fe8796000840590e22eeeff030468c2d83355ca27bc15a7bd",
+    "inf_mean": "936b69a8fb40ebe738d70b5ccc5af47ed5db0c61498a1740e59cd6d396c2bdd2",
+    "palette_wrap": "248751f4d5f669892dabf951585d5fc3eb7ac7eab4e377b82e0962d49d2e5fa4",
 }
 
 
@@ -48,6 +59,15 @@ def test_axis_choice():
     assert ">1e" in render_panel("t", "x", "y", CASES["log"])
     assert ">1e" not in render_panel("t", "x", "y", CASES["linear"])
     assert ">1e" in render_panel("t", "x", "y", CASES["log_clamped_band"])
+
+
+def test_one_x_gets_distinct_tick_labels():
+    """Points that share one x (a one-rate sweep, one generation) get an x axis of span 1."""
+    svg = render_panel("t", "x", "y", [Series("PSOX-GM", [0.1], [3.0], [1.0])])
+    tick_row = f'y="{svgplot.HEIGHT - svgplot.MARGIN_B + 19}"'  # where x tick labels sit
+    labels = [el.split(">")[1].split("<")[0] for el in svg.splitlines() if tick_row in el]
+    assert len(labels) >= 2
+    assert len(set(labels)) == len(labels)
 
 
 def test_no_series_rejected():
