@@ -15,7 +15,12 @@ That null depends only on the design: the group sizes, control first, and
 the number of draws. ``DunnettNulls(seed, mc_samples)``, its only source,
 samples it at most once per design for one analysis, seeded from the
 analysis seed and the design, and sorts it once; each p is then a
-bisection into the sorted draws.
+bisection into the sorted draws. Sampling one null takes O(mc_samples)
+memory, 3.2-4.4 MB at 10^5 draws for 6 to 15 groups: the treatment
+deviates are reduced a block of rows at a time and drawn twice to do so. At
+10^6 draws a 15-group null takes 26 MB and 0.67 s, against 360 MB and
+0.54 s when the whole (draws x treatments) matrix was held (tracemalloc
+peak and median time, 2-core x86 host).
 
 The module loads no scipy on import. Midranks are computed here with numpy;
 only the chi-square tail of ``kruskal_wallis`` imports ``scipy.special``, on
@@ -42,6 +47,9 @@ KW_CHI2 = "chi2"
 # while 11+11 (705432 assignments) already takes ~0.2 s and ~160 MB per block.
 KW_EXACT_MAX_ASSIGNMENTS = 100_000
 DUNNETT_MIN_SAMPLES = 10**4  # fewest Monte Carlo draws of the Dunnett null
+# Draws of the Dunnett null reduced at a time. At 4096 rows each temporary
+# of a 15-group null stays under 0.5 MB; 1024 and 16384 rows took the same time.
+NULL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -224,14 +232,34 @@ def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: np.random.Generato
     control deviate, independent treatment deviates and a shared pooled-
     variance chi-square factor with N - k degrees of freedom, which
     reproduces the classic correlation structure of the comparison family.
+
+    The stream holds every control deviate, then the treatment deviates row
+    by row, then every chi-square factor. The treatment deviates are drawn
+    NULL_BLOCK_ROWS rows at a time, once to reach the chi-square factors and
+    once more, replayed from the saved stream state, to reduce each block to
+    its row maxima. Blocked draws equal one whole draw, so the result has the
+    bits of the whole-matrix formula in O(mc_samples) memory, and the stream
+    is left where that formula leaves it.
     """
     n0, nj = sizes[0], sizes[1:]
     dof = int(np.sum(sizes)) - sizes.size
     z0 = rng.standard_normal(mc_samples)
-    zt = rng.standard_normal((mc_samples, nj.size))
+    after_z0 = rng.bit_generator.state
+    blocks = [slice(i, min(i + NULL_BLOCK_ROWS, mc_samples)) for i in range(0, mc_samples, NULL_BLOCK_ROWS)]
+    zt = np.empty((min(NULL_BLOCK_ROWS, mc_samples), nj.size))
+    for b in blocks:
+        rng.standard_normal(out=zt[: b.stop - b.start])
     s = np.sqrt(rng.chisquare(dof, mc_samples) / dof)
-    t_null = (zt / np.sqrt(nj) - z0[:, None] / np.sqrt(n0)) / (s[:, None] * np.sqrt(1.0 / nj + 1.0 / n0))
-    return np.sort(t_null.max(axis=1))
+    after_s = rng.bit_generator.state
+    rng.bit_generator.state = after_z0
+    t_max = np.empty(mc_samples)
+    for b in blocks:
+        block = rng.standard_normal(out=zt[: b.stop - b.start])
+        t_null = (block / np.sqrt(nj) - z0[b, None] / np.sqrt(n0)) / (s[b, None] * np.sqrt(1.0 / nj + 1.0 / n0))
+        t_max[b] = t_null.max(axis=1)
+    rng.bit_generator.state = after_s
+    t_max.sort()
+    return t_max
 
 
 def _upper_tail(sorted_null: np.ndarray, t) -> np.ndarray:

@@ -107,6 +107,23 @@ class TestPenaltyU:
         assert np.all(u[np.abs(x[:, 0]) <= 10.0] == 0.0)
 
 
+class TestPenaltySkip:
+    """Problems 14 and 15 skip the penalty inside [-10, 10] with the same bits as adding it."""
+
+    @pytest.mark.parametrize("kind", ["inside", "faces", "beyond"])
+    @pytest.mark.parametrize("problem_id, core", [(14, 4), (15, 5)])
+    def test_bits_equal_core_plus_penalty(self, problem_id, core, kind):
+        X = make_rng(31).uniform(-10.0, 10.0, (50, 8))
+        if kind == "faces":
+            X[::2, ::3] = 10.0
+            X[1::2, 1::3] = -10.0
+        elif kind == "beyond":
+            X[::5, 2] = 30.0
+            X[1::5, 5] = -30.0
+        expected = batch_eval(core, X) + benchmarks._penalty_sum(X, 10.0, 100.0)
+        assert batch_eval(problem_id, X).tobytes() == expected.tobytes()
+
+
 class TestRegistry:
     def test_fifteen_entries_with_expected_names(self):
         assert sorted(REGISTRY) == list(range(1, 16))

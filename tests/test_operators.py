@@ -165,6 +165,19 @@ class TestPsox:
         with pytest.raises(ValueError):
             psox_crossover(np.zeros(2), np.zeros(3), np.zeros(2), self.cfg(), make_rng(0))
 
+    @pytest.mark.parametrize("shape", [(30,), (40, 30)], ids=["vector", "matrix"])
+    def test_bits_equal_the_textbook_expression(self, shape):
+        rng = make_rng(12)
+        p, pbest, gbest = (rng.random(shape) * 20 - 10 for _ in range(3))
+        gbest = gbest.reshape(-1, 30)[0]
+        r1, r2 = rng.random(shape), rng.random(shape)
+        cfg = self.cfg(psox_w=0.7, psox_c1=1.3, psox_c2=1.7)
+        inputs = [a.copy() for a in (p, pbest, gbest)]
+        child = psox_crossover(p, pbest, gbest, cfg, StubRng(uniforms=[r1, r2]))
+        expected = cfg.psox_w * p + cfg.psox_c1 * r1 * (pbest - p) + cfg.psox_c2 * r2 * (gbest - p)
+        assert np.array_equal(child, expected)
+        assert all(np.array_equal(a, b) for a, b in zip((p, pbest, gbest), inputs))
+
 
 def unit_bounds(n):
     return Bounds.uniform(-1.0, 1.0, n)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,47 @@ class TestDunnettNulls:
         with pytest.raises(ValueError, match=r"mc_samples must be at least 10\^4"):
             DunnettNulls(3, 9_999)
         assert DunnettNulls(3, 10_000).mc_samples == 10_000
+
+
+def whole_matrix_null(sizes, mc_samples, rng):
+    """The max-statistic null drawn and reduced as one (mc_samples, k-1) matrix."""
+    n0, nj = sizes[0], sizes[1:]
+    dof = int(np.sum(sizes)) - sizes.size
+    z0 = rng.standard_normal(mc_samples)
+    zt = rng.standard_normal((mc_samples, nj.size))
+    s = np.sqrt(rng.chisquare(dof, mc_samples) / dof)
+    t_null = (zt / np.sqrt(nj) - z0[:, None] / np.sqrt(n0)) / (s[:, None] * np.sqrt(1.0 / nj + 1.0 / n0))
+    return np.sort(t_null.max(axis=1))
+
+
+class TestBlockedNull:
+    @pytest.mark.parametrize("sizes, mc_samples", [
+        ([30] * 6, 100_000),
+        ([10, 9, 10, 3], 10_000),
+        ([7, 8], 12_345),
+        ([30] * 15, 100_000),
+    ], ids=["6x30", "unbalanced", "two-groups-partial-block", "15x30"])
+    def test_bytes_equal_the_whole_matrix_draw(self, sizes, mc_samples):
+        sizes = np.array(sizes, dtype=float)
+        seed = [5, *sizes.astype(int), mc_samples]
+        blocked_rng = np.random.Generator(np.random.PCG64(seed))
+        whole_rng = np.random.Generator(np.random.PCG64(seed))
+        blocked = _sorted_max_null(sizes, mc_samples, blocked_rng)
+        assert blocked.tobytes() == whole_matrix_null(sizes, mc_samples, whole_rng).tobytes()
+        # The stream is left where the whole-matrix draw leaves it.
+        assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [6, 15])
+    def test_memory_does_not_grow_with_the_group_count(self, k):
+        sizes = np.full(k, 30.0)
+        rng = np.random.Generator(np.random.PCG64(k))
+        tracemalloc.start()
+        try:
+            _sorted_max_null(sizes, 100_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestBuildReport:
