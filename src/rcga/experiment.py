@@ -502,27 +502,6 @@ def load_manifest(bundle_dir: Path | str) -> dict:
     return json.loads(path.read_text())
 
 
-def _cell_curves(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
-    """One manifest cell's ``(runs, generations)`` best-so-far matrix in run-id
-    order, or None if the cell is not ``ok``, its trace file is missing or
-    empty, or its runs differ in length."""
-    if cell["status"] != "ok":
-        return None
-    path = Path(bundle_dir) / cell["file"]
-    if not path.is_file():
-        return None
-    runs = read_trace_csv(path)
-    if not runs or len({curve.size for curve in runs.values()}) > 1:
-        return None
-    return np.vstack([runs[r] for r in sorted(runs)])
-
-
-def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
-    """Final best objective per run for one ok cell, or None if unusable."""
-    curves = _cell_curves(bundle_dir, cell)
-    return None if curves is None else curves[:, -1].copy()  # a view would keep the whole matrix alive
-
-
 # The curve digest: per usable trace file, keyed by the SHA-256 of its bytes,
 # the per-generation mean and std of its runs. ``analyze`` writes it while it
 # holds each cell's curves; ``plot_convergence`` reuses a row only when the
@@ -534,14 +513,27 @@ def _file_sha256(path: Path) -> bytes:
 
 
 def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[np.ndarray, bytes, tuple[np.ndarray, np.ndarray]]]:
-    """``(finals, sha256, (mean, std))`` of one manifest cell, or None if it is
-    unusable: all that ``analyze`` keeps of a trace file. Module-level, so a
-    process pool can run it."""
-    curves = _cell_curves(bundle_dir, cell)
-    if curves is None:
+    """``(finals, sha256, (mean, std))`` of one manifest cell, runs in run-id
+    order: the read side's only path from a trace file to numbers. None if the
+    cell is not ``ok``, its trace is missing or empty, or its runs differ in
+    length. Module-level, so a process pool can run it."""
+    if cell["status"] != "ok":
         return None
+    path = Path(bundle_dir) / cell["file"]
+    if not path.is_file():
+        return None
+    runs = read_trace_csv(path)
+    if not runs or len({curve.size for curve in runs.values()}) > 1:
+        return None
+    curves = np.vstack([runs[r] for r in sorted(runs)])
     # A view of the last column would keep the whole matrix alive.
-    return curves[:, -1].copy(), _file_sha256(bundle_dir / cell["file"]), summarize(curves)
+    return curves[:, -1].copy(), _file_sha256(path), summarize(curves)
+
+
+def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
+    """Final best objective per run for one ok cell, or None if unusable."""
+    reduced = _reduce_cell(bundle_dir, cell)
+    return None if reduced is None else reduced[0]
 
 
 def _write_curve_digest(path: Path, rows: dict[bytes, tuple[np.ndarray, np.ndarray]]) -> None:
@@ -702,16 +694,10 @@ def _write_dunnett_csv(path: Path, analyses: Sequence[ProblemAnalysis], control_
 # Convergence plots
 
 
-def _cell_mean_std(bundle_dir: Path, cell: dict, digest: dict) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Per-generation mean and std of a usable cell, from ``digest`` when its
-    trace file's hash is there, else from the parsed file; None if unusable."""
-    path = bundle_dir / cell["file"]
-    if digest and cell["status"] == "ok" and path.is_file():
-        hit = digest.get(_file_sha256(path))
-        if hit is not None:
-            return hit
-    curves = _cell_curves(bundle_dir, cell)
-    return None if curves is None else summarize(curves)
+def _write_panel(path: Path, problem: int, x_label: str, y_label: str, series) -> None:
+    """Write one problem's SVG panel, titled with the problem's number and name."""
+    title = f"Problem {problem}: {benchmarks.REGISTRY[problem].name}"
+    _write_text(path, svgplot.render_panel(title, x_label, y_label, series))
 
 
 def plot_convergence(
@@ -738,19 +724,21 @@ def plot_convergence(
         for cell in manifest["cells"]:
             if cell["problem"] != problem:
                 continue
-            stats = _cell_mean_std(bundle_dir, cell, digest)
+            stats = None
+            trace = bundle_dir / cell["file"]
+            if digest and cell["status"] == "ok" and trace.is_file():
+                stats = digest.get(_file_sha256(trace))
             if stats is None:
-                continue
+                reduced = _reduce_cell(bundle_dir, cell)
+                if reduced is None:
+                    continue
+                stats = reduced[2]
             mean, std = stats
             series.append(svgplot.Series(cell["label"], np.arange(1, mean.size + 1), mean, std))
         if not series:
             continue
-        name = benchmarks.REGISTRY[problem].name
-        svg = svgplot.render_panel(
-            f"Problem {problem}: {name}", "generation", "best objective (mean of runs)", series
-        )
         path = out_dir / f"convergence_p{problem:02d}.svg"
-        _write_text(path, svg)
+        _write_panel(path, problem, "generation", "best objective (mean of runs)", series)
         written.append(path)
     if not written:
         raise FileNotFoundError(f"{bundle_dir}: no usable traces for problems {wanted}")
@@ -784,16 +772,7 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
 
     for problem, rows in per_problem.items():
-        rows.sort()
-        series = [svgplot.Series(
-            "PSOX-GM",
-            [r for r, _, _ in rows],
-            [m for _, m, _ in rows],
-            [s for _, _, s in rows],
-        )]
-        name = benchmarks.REGISTRY[problem].name
-        svg = svgplot.render_panel(
-            f"Problem {problem}: {name}", "mutation rate", "final best objective (mean)", series
-        )
-        _write_text(out / f"sweep_p{problem:02d}.svg", svg)
+        rates, means, stds = zip(*sorted(rows))
+        series = [svgplot.Series("PSOX-GM", rates, means, stds)]
+        _write_panel(out / f"sweep_p{problem:02d}.svg", problem, "mutation rate", "final best objective (mean)", series)
     return out

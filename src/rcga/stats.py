@@ -15,12 +15,13 @@ That null depends only on the design: the group sizes, control first, and
 the number of draws. ``DunnettNulls(seed, mc_samples)``, its only source,
 samples it at most once per design for one analysis, seeded from the
 analysis seed and the design, and sorts it once; each p is then a
-bisection into the sorted draws. Sampling one null takes O(mc_samples)
-memory, 3.2-4.4 MB at 10^5 draws for 6 to 15 groups: the treatment
-deviates are reduced a block of rows at a time and drawn twice to do so. At
-10^6 draws a 15-group null takes 26 MB and 0.67 s, against 360 MB and
-0.54 s when the whole (draws x treatments) matrix was held (tracemalloc
-peak and median time, 2-core x86 host).
+bisection into the sorted draws. Each deviate is drawn once, and a block
+of rows at a time the treatment deviates are reduced to each row's largest
+per distinct treatment size: O(mc_samples x distinct sizes) memory. With
+one size, as in every block a ``run`` bundle holds, a null takes 2.6-2.9 MB
+and 12-33 ms at 10^5 draws for 6 to 15 groups and 24 MB and 0.24-0.26 s at
+10^6 draws for 15; 14 distinct sizes take 24 MB at 10^5 draws (tracemalloc
+peak and median time, 2-core x86 host, ``BENCH_null_one_pass.json``).
 
 The module loads no scipy on import. Midranks are computed here with numpy;
 only the chi-square tail of ``kruskal_wallis`` imports ``scipy.special``, on
@@ -234,30 +235,30 @@ def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: np.random.Generato
     reproduces the classic correlation structure of the comparison family.
 
     The stream holds every control deviate, then the treatment deviates row
-    by row, then every chi-square factor. The treatment deviates are drawn
-    NULL_BLOCK_ROWS rows at a time, once to reach the chi-square factors and
-    once more, replayed from the saved stream state, to reduce each block to
-    its row maxima. Blocked draws equal one whole draw, so the result has the
-    bits of the whole-matrix formula in O(mc_samples) memory, and the stream
-    is left where that formula leaves it.
+    by row, then every chi-square factor; each is drawn once. Among the
+    treatments of one size, a draw's statistic is non-decreasing in its
+    deviate (rounded subtraction and division by a positive number are
+    monotone), so their largest statistic is that of their largest deviate,
+    bit for bit. Each block of NULL_BLOCK_ROWS rows of treatment deviates is
+    reduced to that numerator per distinct treatment size, so the result has
+    the bits of the whole-matrix formula in O(mc_samples x distinct sizes)
+    memory, and the stream is left where that formula leaves it.
     """
     n0, nj = sizes[0], sizes[1:]
     dof = int(np.sum(sizes)) - sizes.size
-    z0 = rng.standard_normal(mc_samples)
-    after_z0 = rng.bit_generator.state
-    blocks = [slice(i, min(i + NULL_BLOCK_ROWS, mc_samples)) for i in range(0, mc_samples, NULL_BLOCK_ROWS)]
+    distinct = np.unique(nj)
+    control = rng.standard_normal(mc_samples) / np.sqrt(n0)
+    numerators = np.empty((mc_samples, distinct.size))
     zt = np.empty((min(NULL_BLOCK_ROWS, mc_samples), nj.size))
-    for b in blocks:
-        rng.standard_normal(out=zt[: b.stop - b.start])
+    for start in range(0, mc_samples, NULL_BLOCK_ROWS):
+        rows = slice(start, min(start + NULL_BLOCK_ROWS, mc_samples))
+        block = rng.standard_normal(out=zt[: rows.stop - start])
+        for i, n in enumerate(distinct):
+            numerators[rows, i] = block[:, nj == n].max(axis=1) / np.sqrt(n) - control[rows]
+    del control
     s = np.sqrt(rng.chisquare(dof, mc_samples) / dof)
-    after_s = rng.bit_generator.state
-    rng.bit_generator.state = after_z0
-    t_max = np.empty(mc_samples)
-    for b in blocks:
-        block = rng.standard_normal(out=zt[: b.stop - b.start])
-        t_null = (block / np.sqrt(nj) - z0[b, None] / np.sqrt(n0)) / (s[b, None] * np.sqrt(1.0 / nj + 1.0 / n0))
-        t_max[b] = t_null.max(axis=1)
-    rng.bit_generator.state = after_s
+    numerators /= s[:, None] * np.sqrt(1.0 / distinct + 1.0 / n0)
+    t_max = numerators.max(axis=1)
     t_max.sort()
     return t_max
 
@@ -312,7 +313,7 @@ def dunnett_one_sided(
     all_groups = [control, *treatments]
     sizes = np.array([g.values.size for g in all_groups], dtype=float)
     means = np.array([float(np.mean(g.values)) for g in all_groups])
-    sum_sq = sum(float(np.sum((g.values - np.mean(g.values)) ** 2)) for g in all_groups)
+    sum_sq = sum(float(np.sum((g.values - m) ** 2)) for g, m in zip(all_groups, means))
     pooled_var = sum_sq / (int(np.sum(sizes)) - len(all_groups))
     n0, nj = sizes[0], sizes[1:]
     diffs = means[1:] - means[0]

@@ -626,6 +626,18 @@ class TestCurveDigest:
         digest.unlink()
         assert drawn == self.svgs(bundle, tmp_path / "b")
 
+    def test_trace_lost_after_analyze_is_dropped_despite_its_digest_row(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        lost, *kept = [c for c in load_manifest(bundle)["cells"] if c["problem"] == 9]
+        trace = bundle / lost["file"]
+        assert experiment._file_sha256(trace) in _load_curve_digest(bundle / CURVES_NAME)
+        trace.unlink()
+        drawn = self.svgs(bundle, tmp_path / "a")
+        assert sorted(drawn) == ["convergence_p01.svg", "convergence_p09.svg"]
+        svg = drawn["convergence_p09.svg"].decode()
+        assert lost["label"] not in svg and kept and all(c["label"] in svg for c in kept)
+
     def test_plot_of_an_unanalysed_bundle_writes_no_digest(self, tmp_path):
         bundle = self.bundle(tmp_path)
         assert len(plot_convergence(bundle)) == 2

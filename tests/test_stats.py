@@ -313,6 +313,17 @@ def whole_matrix_null(sizes, mc_samples, rng):
     return np.sort(t_null.max(axis=1))
 
 
+def assert_null_equals_the_whole_matrix_draw(sizes, mc_samples, seed):
+    sizes = np.array(sizes, dtype=float)
+    stream = [seed, *sizes.astype(int), mc_samples]
+    blocked_rng = np.random.Generator(np.random.PCG64(stream))
+    whole_rng = np.random.Generator(np.random.PCG64(stream))
+    blocked = _sorted_max_null(sizes, mc_samples, blocked_rng)
+    assert blocked.tobytes() == whole_matrix_null(sizes, mc_samples, whole_rng).tobytes(), (sizes, mc_samples)
+    # The stream is left where the whole-matrix draw leaves it.
+    assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state, (sizes, mc_samples)
+
+
 class TestBlockedNull:
     @pytest.mark.parametrize("sizes, mc_samples", [
         ([30] * 6, 100_000),
@@ -321,14 +332,19 @@ class TestBlockedNull:
         ([30] * 15, 100_000),
     ], ids=["6x30", "unbalanced", "two-groups-partial-block", "15x30"])
     def test_bytes_equal_the_whole_matrix_draw(self, sizes, mc_samples):
-        sizes = np.array(sizes, dtype=float)
-        seed = [5, *sizes.astype(int), mc_samples]
-        blocked_rng = np.random.Generator(np.random.PCG64(seed))
-        whole_rng = np.random.Generator(np.random.PCG64(seed))
-        blocked = _sorted_max_null(sizes, mc_samples, blocked_rng)
-        assert blocked.tobytes() == whole_matrix_null(sizes, mc_samples, whole_rng).tobytes()
-        # The stream is left where the whole-matrix draw leaves it.
-        assert blocked_rng.bit_generator.state == whole_rng.bit_generator.state
+        assert_null_equals_the_whole_matrix_draw(sizes, mc_samples, 5)
+
+    def test_bytes_equal_the_whole_matrix_draw_on_random_designs(self):
+        # Repeated non-adjacent sizes, all-distinct sizes and one draw past a
+        # block edge, then seeded random designs of 2-15 groups.
+        draw = np.random.default_rng(2024)
+        designs = [([10, 5, 20, 5, 20], 4096), ([9, *range(3, 18)], 4097), ([4, 4], 4096), ([6, 30, 6, 30], 4097)]
+        designs += [
+            (draw.integers(2, 40, size=draw.integers(2, 16)).tolist(), int(draw.choice([4096, 4097, 8191, 12_345])))
+            for _ in range(40)
+        ]
+        for seed, (sizes, mc_samples) in enumerate(designs):
+            assert_null_equals_the_whole_matrix_draw(sizes, mc_samples, seed)
 
     @pytest.mark.parametrize("k", [6, 15])
     def test_memory_does_not_grow_with_the_group_count(self, k):
