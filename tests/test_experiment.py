@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -505,6 +506,22 @@ class TestAnalyze:
         analyses = analyze(bundle)
         assert all(a.report.kw_flag == "+" for a in analyses)
         assert sorted(sampled) == [((5.0, 5.0), 10000), ((5.0, 5.0, 5.0), 10000)]
+
+    def test_chi_square_tables_are_pinned(self, tmp_path):
+        # Three groups of 10 runs take the chi-square tail. Problem 1 is pure
+        # noise (flagged at p = 0.015) and problem 2 is not flagged, so a tail
+        # that moves a flag or a Dunnett p changes these digests, taken when
+        # scipy computed the tail.
+        rng = np.random.default_rng(29)
+        finals = {(p, op): 0.1 * (p - 1) * level + rng.random(10) for p in (1, 2, 3, 4)
+                  for op, level in (("PSOX", 0.0), ("AX", 1.0), ("FX", 2.0))}
+        bundle = write_bundle(tmp_path / "b", finals)
+        analyses = analyze(bundle)
+        assert [(a.report.kw_method, a.report.kw_flag) for a in analyses] == [
+            ("chi2", "+"), ("chi2", "~"), ("chi2", "+"), ("chi2", "+")]
+        digests = [hashlib.sha256((bundle / name).read_bytes()).hexdigest() for name in ("summary.csv", "dunnett.csv")]
+        assert digests == ["95cc6556736394cbba8aa3d9a889dc2df92a30cfe343ee10ac439b284670247a",
+                           "2dbb569415e63d00c713812e2ba34082051a203eaaec6efe9faf938fee334293"]
 
     def test_block_p_values_do_not_depend_on_other_blocks(self, tmp_path):
         finals = planted_finals((1, 2, 3))

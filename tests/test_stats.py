@@ -22,6 +22,7 @@ from rcga.stats import (
     KW_EXACT,
     DunnettNulls,
     SampleGroup,
+    _chi2_sf,
     _midranks,
     _sorted_max_null,
     _upper_tail,
@@ -156,6 +157,37 @@ class TestMidranks:
         assert ranks.tolist() == [3.0, 3.0, 5.0, 1.0, 3.0] and tie_counts.tolist() == [1, 3, 1]
 
 
+# (df, x, Q) with Q = P(chi2_df >= x) to 17 significant digits, computed with
+# mpmath 1.3 at 40 digits:
+#     mpmath.mp.dps = 40
+#     for df in range(1, 21):
+#         for x in (0.01 * df, 1.5 * df + 0.25, 35.0 * df):
+#             q = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+#             print((df, x, mpmath.nstr(q, 17, min_fixed=0, max_fixed=0)))
+CHI2_SF_REFERENCE = [
+    (1, 0.01, 9.2034432544594204e-1), (1, 1.75, 1.8587673236587593e-1), (1, 35.0, 3.2970532689972866e-9),
+    (2, 0.02, 9.9004983374916805e-1), (2, 3.25, 1.9691167520419405e-1), (2, 70.0, 6.3051167601469894e-16),
+    (3, 0.03, 9.9863039481880868e-1), (3, 4.75, 1.9104575526969271e-1), (3, 105.0, 1.3066311890367611e-22),
+    (4, 0.04, 9.9980264677289041e-1), (4, 6.25, 1.812398511965556e-1), (4, 140.0, 2.8225693124951392e-29),
+    (5, 0.05, 9.9997079046000105e-1), (5, 7.75, 1.7056249096296937e-1), (5, 175.0, 6.2521912741801799e-36),
+    (6, 0.06, 9.9999560004506025e-1), (6, 9.25, 1.5999871382681093e-1), (6, 210.0, 1.4083149363343887e-42),
+    (7, 0.07, 9.999993289114677e-1), (7, 10.75, 1.4990175447412075e-1), (7, 245.0, 3.2104852692117017e-49),
+    (8, 0.08, 9.9999989669042229e-1), (8, 12.25, 1.4039320844793484e-1), (8, 280.0, 7.3848973005097898e-56),
+    (9, 0.09, 9.9999998398157908e-1), (9, 13.75, 1.3150025032417044e-1), (9, 315.0, 1.7106193656576293e-62),
+    (10, 0.1, 9.9999999750204866e-1), (10, 15.25, 1.2320965531542841e-1), (10, 350.0, 3.9846469854674207e-69),
+    (11, 0.11, 9.9999999960864096e-1), (11, 16.75, 1.1549110144402781e-1), (11, 385.0, 9.3242080550847138e-76),
+    (12, 0.12, 9.9999999993844663e-1), (12, 18.25, 1.0830782931808251e-1), (12, 420.0, 2.1902228340261142e-82),
+    (13, 0.13, 9.9999999999028705e-1), (13, 19.75, 1.0162167345118966e-1), (13, 455.0, 5.1613584398277919e-89),
+    (14, 0.14, 9.9999999999846302e-1), (14, 21.25, 9.539544061669308e-2), (14, 490.0, 1.2196603264482231e-95),
+    (15, 0.15, 9.999999999997562e-1), (15, 22.75, 8.959398705544551e-2), (15, 525.0, 2.8890349733063629e-102),
+    (16, 0.16, 9.9999999999996124e-1), (16, 24.25, 8.418464215121335e-2), (16, 560.0, 6.8576552593984276e-109),
+    (17, 0.17, 9.9999999999999383e-1), (17, 25.75, 7.9137301695358883e-2), (17, 595.0, 1.6307986677151887e-115),
+    (18, 0.18, 9.9999999999999902e-1), (18, 27.25, 7.4424356853421816e-2), (18, 630.0, 3.8845227347156401e-122),
+    (19, 0.19, 9.9999999999999984e-1), (19, 28.75, 7.0020545924582367e-2), (19, 665.0, 9.266430730260778e-129),
+    (20, 0.2, 9.9999999999999997e-1), (20, 30.25, 6.5902774948501005e-2), (20, 700.0, 2.213405340424449e-135),
+]
+
+
 class TestChiSquareTail:
     @pytest.mark.parametrize("k", range(2, 16))
     def test_p_equals_scipy_chi2_sf_bit_for_bit(self, k):
@@ -163,7 +195,22 @@ class TestChiSquareTail:
         # Rounded values tie; 10 runs per group put every k on the chi-square branch.
         gs = groups(*[np.round(rng.random(10) + 0.1 * i, 1) for i in range(k)])
         h, p, _ = kruskal_wallis(gs)
-        assert float(p).hex() == float(scipy.stats.chi2.sf(h, k - 1)).hex()
+        # The bits are the closed form's, which is more accurate than scipy's
+        # chdtrc (see the reference table below); scipy's chi2.sf is held to 1e-13.
+        assert float(p).hex() == _chi2_sf(k - 1, h).hex()
+        assert abs(p - scipy.stats.chi2.sf(h, k - 1)) <= 1e-13 * p
+
+    @pytest.mark.parametrize("df, x, q", CHI2_SF_REFERENCE)
+    def test_matches_the_reference_table(self, df, x, q):
+        # df = 1 is erfc alone, and math.erfc's error in the far tail is ~6e-14.
+        assert abs(_chi2_sf(df, x) - q) <= (1e-13 if df == 1 else 4e-15) * q
+
+    def test_agrees_with_scipy_chi2_sf(self):
+        for df, x, q in CHI2_SF_REFERENCE:
+            assert abs(_chi2_sf(df, x) - scipy.stats.chi2.sf(x, df)) <= 1e-13 * q
+
+    def test_nonpositive_x_gives_one(self):
+        assert all(_chi2_sf(df, x) == 1.0 for df in range(1, 21) for x in (0.0, -0.0, -3.5))
 
 
 class TestScipyLoading:
@@ -182,17 +229,28 @@ kruskal_wallis([SampleGroup(str(i), np.arange(3.0) + i) for i in range(3)])
 seen["exact"] = loaded()
 kruskal_wallis([SampleGroup(str(i), np.arange(30.0) + i) for i in range(2)])
 seen["chi2"] = loaded()
-print(json.dumps(seen))
+bundle = rcga.experiment.run_experiment(sys.argv[1])
+analyses = rcga.experiment.analyze(bundle)
+rcga.experiment.plot_convergence(bundle)
+seen["analyze"] = loaded()
+print(json.dumps({"seen": seen, "methods": [a.report.kw_method for a in analyses]}))
 """
 
-    def test_only_the_chi_square_tail_loads_scipy_special(self):
+    def test_no_analysis_loads_scipy(self, tmp_path):
+        config = tmp_path / "chi2.cfg"
+        config.write_text(
+            "name = chi2\nproblems = 9\ndimension = 4\noperators = PSOX, AX\nmutations = GM\n"
+            "population_size = 16\ngenerations = 8\nruns = 10\nseed = 5\nworkers = 1\n"
+            f"output_dir = {tmp_path / 'bundle'}\n"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(rcga.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(config)], capture_output=True, text=True, env=env, timeout=120
+        )
         assert done.returncode == 0, done.stderr
-        seen = json.loads(done.stdout)
-        assert seen["import"] == [] and seen["exact"] == []
-        assert "scipy.special" in seen["chi2"]
-        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in seen["chi2"])
+        result = json.loads(done.stdout)
+        assert result["methods"] == [KW_CHI2]
+        assert result["seen"] == {"import": [], "exact": [], "chi2": [], "analyze": []}
 
 
 class TestDunnettOneSided:
