@@ -16,8 +16,7 @@ The penalized functions (problems 14 and 15) add the box penalty
 ``_penalty_sum(X, 10.0, 100.0)``, which starts at |x| = 10 and so lies
 outside both registered boxes ([-10, 10] and [-5.12, 5.12]). They therefore
 equal problems 4 and 5 at every point the engine evaluates, as
-``test_penalized_equal_cores_inside_box`` checks. They compute the penalty only
-for a matrix with some gene outside [-10, 10]. The published Penalized 2
+``test_penalized_equal_cores_inside_box`` checks. The published Penalized 2
 starts its penalty at a = 5; the definitions stay until the paper's own are
 at hand.
 """
@@ -113,19 +112,12 @@ def _cigar(X):
     return X[:, 0] ** 2 + 1e7 * np.sum(X[:, 1:] ** 2, axis=1)
 
 
-def _box_penalized(core, X):
-    """``core + _penalty_sum(X, 10.0, 100.0)``, skipping the penalty when every gene lies in [-10, 10], where it is 0."""
-    if np.abs(X).max(initial=0.0) <= 10.0:
-        return core
-    return core + _penalty_sum(X, 10.0, 100.0)
-
-
 def _penalized_1(X):
-    return _box_penalized(_levy_montalvo_1(X), X)
+    return _levy_montalvo_1(X) + _penalty_sum(X, 10.0, 100.0)
 
 
 def _penalized_2(X):
-    return _box_penalized(_levy_montalvo_2(X), X)
+    return _levy_montalvo_2(X) + _penalty_sum(X, 10.0, 100.0)
 
 
 def _zeros(n):

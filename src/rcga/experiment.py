@@ -64,7 +64,8 @@ class ExperimentConfig:
 
     ``crossover`` and ``mutation`` are templates holding the operator
     parameters; each cell sets their ``kind``, and the mutation's
-    ``per_gene_rate`` becomes ``mutation_rate / dimension``.
+    ``per_gene_rate`` becomes ``mutation_rate / dimension``. A value out of
+    its range raises ``ValueError("key: message")``.
     """
 
     name: str
@@ -86,6 +87,23 @@ class ExperimentConfig:
     output_dir: Path = Path("results")
     crossover: CrossoverConfig = field(default_factory=CrossoverConfig)
     mutation: MutationConfig = field(default_factory=MutationConfig)
+
+    def __post_init__(self):
+        for key, ok, message in (
+            ("runs", self.runs >= 1, "must be >= 1"),
+            ("population_size", self.population_size >= 2, "must be >= 2"),
+            ("generations", self.generations >= 1, "must be >= 1"),
+            ("dimension", self.dimension >= 2, "must be >= 2 (chained benchmarks need two genes)"),
+            ("mutation_rate", 0.0 <= self.mutation_rate <= 1.0, "must lie in [0, 1]"),
+            ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
+            ("mc_samples", self.mc_samples >= DUNNETT_MIN_SAMPLES, "must be at least 10^4"),
+            ("selection_k", self.selection_k >= 1, "must be >= 1"),
+            ("elitism", 0 <= self.elitism <= self.population_size, "must lie in [0, population_size]"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("workers", self.workers >= 0, "must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key}: {message}")
 
 
 def format_sci(value: float, sig: int = 6) -> str:
@@ -231,38 +249,14 @@ def parse_config(
 
     if "problems" not in experiment:
         fail("problems", "required key is missing")
-    try:  # surface operator-parameter violations as config diagnostics
-        cfg = ExperimentConfig(
+    try:  # surface range violations as config diagnostics
+        return ExperimentConfig(
             **experiment,
             crossover=CrossoverConfig(**values["crossover"]),
             mutation=MutationConfig(**values["mutation"]),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-    if cfg.runs < 1:
-        fail("runs", "must be >= 1")
-    if cfg.population_size < 2:
-        fail("population_size", "must be >= 2")
-    if cfg.generations < 1:
-        fail("generations", "must be >= 1")
-    if cfg.dimension < 2:
-        fail("dimension", "must be >= 2 (chained benchmarks need two genes)")
-    if not 0.0 <= cfg.mutation_rate <= 1.0:
-        fail("mutation_rate", "must lie in [0, 1]")
-    if not 0.0 < cfg.alpha < 1.0:
-        fail("alpha", "must lie in (0, 1)")
-    if cfg.mc_samples < DUNNETT_MIN_SAMPLES:
-        fail("mc_samples", "must be at least 10^4")
-    if cfg.selection_k < 1:
-        fail("selection_k", "must be >= 1")
-    if not 0 <= cfg.elitism <= cfg.population_size:
-        fail("elitism", "must lie in [0, population_size]")
-    if cfg.seed < 0:
-        fail("seed", "must be non-negative")
-    if cfg.workers < 0:
-        fail("workers", "must be >= 0")
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -175,23 +175,13 @@ def psox_crossover(
     """PSO-inspired crossover pulling p_i toward another slot's best and the global best.
 
     The caller guarantees pbest_j belongs to a slot other than p_i's own.
-    The child has p_i's shape, and pbest_j and gbest must broadcast to it:
     ``gbest`` may be one vector shared by every row of a matrix call.
     """
     _check_pair(p_i, pbest_j, "psox_crossover")
     _check_pair(p_i, gbest, "psox_crossover")
     r1 = rng.random(p_i.shape)
     r2 = rng.random(p_i.shape)
-    # w*p_i + c1*r1*(pbest_j - p_i) + c2*r2*(gbest - p_i), evaluated left to
-    # right as written, with the products formed in r1 and r2.
-    r1 *= cfg.psox_c1
-    r1 *= pbest_j - p_i
-    r2 *= cfg.psox_c2
-    r2 *= gbest - p_i
-    child = cfg.psox_w * p_i
-    child += r1
-    child += r2
-    return child
+    return cfg.psox_w * p_i + cfg.psox_c1 * r1 * (pbest_j - p_i) + cfg.psox_c2 * r2 * (gbest - p_i)
 
 
 def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: RngStream, move) -> RealVector:

@@ -8,8 +8,9 @@ The Dunnett step tests, for each treatment, H1: treatment mean > control mean.
 Under minimization a larger objective is worse, so a "+" flag reads "the
 treatment is significantly worse than the control", i.e. the control operator
 wins. Family-adjusted p-values come from seeded Monte Carlo sampling of the
-max-statistic null distribution; both raw p and flag are always reported so
-the orientation can be re-mapped by the reader.
+max-statistic null distribution. Both tests return p-values, and only
+``build_report`` turns them into flags; ``dunnett.csv`` keeps each p
+beside its flag, so the orientation can be re-mapped by the reader.
 
 That null depends only on the design: the group sizes, control first, and
 the number of draws. ``DunnettNulls(seed, mc_samples)``, its only source,
@@ -100,7 +101,7 @@ def summarize(values) -> tuple:
     return (float(mean), float(std)) if v.ndim == 1 else (mean, std)
 
 
-def kw_method(sizes: Sequence[int]) -> str:
+def _kw_method(sizes: Sequence[int]) -> str:
     """KW_EXACT when the design has at most KW_EXACT_MAX_ASSIGNMENTS distinct
     assignments of N values to groups of the given sizes, else KW_CHI2.
 
@@ -199,34 +200,35 @@ def _chi2_sf(df: int, x: float) -> float:
     return p
 
 
-def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[float, float, str]:
-    """Tie-corrected H statistic, its upper-tail p and the flag at ``alpha``.
+def kruskal_wallis(groups: Sequence[SampleGroup]) -> tuple[float, float, str]:
+    """Tie-corrected H statistic, its upper-tail p and the method behind p.
 
     The p-value is P(H >= h_obs) under H0, computed by the method
-    ``kw_method`` picks from the group sizes:
+    ``_kw_method`` picks from the group sizes:
 
     - designs with at most KW_EXACT_MAX_ASSIGNMENTS = 1e5 distinct
       assignments N!/prod(n_i!) (3x3x3 = 1680, 8+8 = 12870, 4x4x5 = 90090)
-      get the exact permutation p: the fixed midranks are dealt to the
-      groups in every distinct way and the share with H >= h_obs is
+      get the exact permutation p (KW_EXACT): the fixed midranks are dealt
+      to the groups in every distinct way and the share with H >= h_obs is
       counted. This is the small-sample test of Kruskal & Wallis (1952);
       the chi-square approximation is poor for group sizes of 5 or fewer;
     - larger designs (10+10 = 184756, 5x5x5, every 10- or 30-run block of
       the study) get the asymptotic chi-square tail with k-1 degrees of
-      freedom, in closed form (``_chi2_sf``).
+      freedom (KW_CHI2), in closed form (``_chi2_sf``).
 
     A fully degenerate input (every value identical) is reported as no
-    detectable difference: H = 0, p = 1.
+    detectable difference: H = 0, p = 1, with the method of its sizes.
     """
     if len(groups) < 2:
         raise ValueError("kruskal_wallis: need at least 2 groups")
     sizes = [g.values.size for g in groups]
     if min(sizes) < 2:
         raise ValueError("kruskal_wallis: every group needs at least 2 values")
+    method = _kw_method(sizes)
     pooled = np.concatenate([g.values for g in groups])
     n_total = pooled.size
     if np.all(pooled == pooled[0]):
-        return 0.0, 1.0, FLAG_NOT_SIGNIFICANT
+        return 0.0, 1.0, method
 
     ranks, tie_counts = _midranks(pooled)
     h = 0.0
@@ -240,12 +242,8 @@ def kruskal_wallis(groups: Sequence[SampleGroup], alpha: float = 0.05) -> tuple[
     correction = 1.0 - float(np.sum(tie_counts**3 - tie_counts)) / (n_total**3 - n_total)
     h = max(h / correction, 0.0)
 
-    if kw_method(sizes) == KW_EXACT:
-        p = _exact_kw_p(ranks, sizes)
-    else:
-        p = _chi2_sf(len(groups) - 1, h)
-    flag = FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT
-    return h, p, flag
+    p = _exact_kw_p(ranks, sizes) if method == KW_EXACT else _chi2_sf(len(groups) - 1, h)
+    return h, p, method
 
 
 def _sorted_max_null(sizes: np.ndarray, mc_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -318,10 +316,9 @@ class DunnettNulls:
 def dunnett_one_sided(
     control: SampleGroup,
     treatments: Sequence[SampleGroup],
-    alpha: float,
     nulls: DunnettNulls,
-) -> list[tuple[float, str]]:
-    """Family-adjusted one-sided p for each treatment (H1: treatment mean > control mean).
+) -> np.ndarray:
+    """Family-adjusted one-sided p for each treatment, in order (H1: treatment mean > control mean).
 
     The null of the max statistic is ``nulls``' shared null for this
     design. With zero pooled variance the p-value degenerates to 0 or 1 by
@@ -341,11 +338,10 @@ def dunnett_one_sided(
     diffs = means[1:] - means[0]
 
     if pooled_var == 0.0:
-        return [(0.0, FLAG_SIGNIFICANT) if d > 0 else (1.0, FLAG_NOT_SIGNIFICANT) for d in diffs]
+        return np.where(diffs > 0, 0.0, 1.0)
 
     t_obs = diffs / np.sqrt(pooled_var * (1.0 / nj + 1.0 / n0))
-    p_values = _upper_tail(nulls.sorted_null(sizes), t_obs)
-    return [(float(p), FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT) for p in p_values]
+    return _upper_tail(nulls.sorted_null(sizes), t_obs)
 
 
 def build_report(
@@ -356,28 +352,35 @@ def build_report(
 ) -> StatReport:
     """Two-stage pipeline: omnibus Kruskal-Wallis, then Dunnett versus the control.
 
-    The post-hoc runs only on a significant omnibus result; otherwise every
-    Dunnett cell is marked not-run ("-"). ``nulls`` is passed on to
-    ``dunnett_one_sided``.
+    The only place a p is compared with ``alpha``, which must lie in (0, 1):
+    a p below it is flagged significant ("+"), any other "~". The post-hoc
+    runs only on a significant omnibus result; otherwise every Dunnett cell
+    is marked not-run ("-"). ``nulls`` is passed on to ``dunnett_one_sided``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"build_report: alpha must lie in (0, 1), got {alpha}")
     labels = [g.label for g in groups]
     if control_label not in labels:
         raise ValueError(f"control group {control_label!r} not among {labels}")
     control = groups[labels.index(control_label)]
     treatments = [g for g in groups if g.label != control_label]
 
-    kw_h, kw_p, kw_flag = kruskal_wallis(groups, alpha)
+    def flag(p: float) -> str:
+        return FLAG_SIGNIFICANT if p < alpha else FLAG_NOT_SIGNIFICANT
+
+    kw_h, kw_p, method = kruskal_wallis(groups)
+    kw_flag = flag(kw_p)
 
     if kw_flag == FLAG_SIGNIFICANT:
-        outcomes = dunnett_one_sided(control, treatments, alpha, nulls)
-        dunnett = tuple(DunnettOutcome(t.label, p, flag) for t, (p, flag) in zip(treatments, outcomes))
+        p_values = dunnett_one_sided(control, treatments, nulls)
+        dunnett = tuple(DunnettOutcome(t.label, float(p), flag(p)) for t, p in zip(treatments, p_values))
     else:
         dunnett = tuple(DunnettOutcome(t.label, None, FLAG_NOT_RUN) for t in treatments)
 
     return StatReport(
         kw_h=kw_h,
         kw_p=kw_p,
-        kw_method=kw_method([g.values.size for g in groups]),
+        kw_method=method,
         kw_flag=kw_flag,
         dunnett=dunnett,
     )

@@ -182,6 +182,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"a\.cfg: mc_samples: must be at least 10\^4"):
             parse_config(path)
 
+    def test_direct_construction_checks_every_range(self):
+        for key, bad, message in [
+            ("runs", 0, "must be >= 1"),
+            ("population_size", 1, "must be >= 2"),
+            ("generations", 0, "must be >= 1"),
+            ("dimension", 1, "must be >= 2 (chained benchmarks need two genes)"),
+            ("mutation_rate", 1.5, "must lie in [0, 1]"),
+            ("alpha", 1.0, "must lie in (0, 1)"),
+            ("mc_samples", 9_999, "must be at least 10^4"),
+            ("selection_k", 0, "must be >= 1"),
+            ("elitism", 301, "must lie in [0, population_size]"),  # population_size is 300
+            ("seed", -1, "must be non-negative"),
+            ("workers", -1, "must be >= 0"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                ExperimentConfig(name="x", problems=(9,), **{key: bad})
+            assert str(caught.value) == f"{key}: {message}"
+
     @pytest.mark.parametrize("key, value, repeat", [
         ("problems", "1-3, 2", "problem 2"),
         ("operators", "PSOX, LX, LAPLACE", "operator LAPLACE"),

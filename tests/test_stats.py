@@ -69,24 +69,29 @@ class TestSummarize:
 
 class TestKruskalWallis:
     def test_fixed_example(self):
-        h, p, flag = kruskal_wallis(groups([1, 2, 3], [4, 5, 6], [7, 8, 9]), alpha=0.05)
+        h, p, method = kruskal_wallis(groups([1, 2, 3], [4, 5, 6], [7, 8, 9]))
         assert abs(h - 7.2) < 1e-9
         # Exact permutation tail: 6 of the 9!/(3!3!3!) = 1680 distinct
         # assignments reach the maximal H = 7.2.
         assert abs(p - 6 / 1680) < 1e-9
-        assert flag == FLAG_SIGNIFICANT
+        assert p < 0.05 and method == KW_EXACT
 
     def test_identical_groups_convention(self):
-        h, p, flag = kruskal_wallis(groups([5, 5, 5], [5, 5, 5], [5, 5, 5]), alpha=0.05)
-        assert (h, p, flag) == (0.0, 1.0, FLAG_NOT_SIGNIFICANT)
+        assert kruskal_wallis(groups([5, 5, 5], [5, 5, 5], [5, 5, 5])) == (0.0, 1.0, KW_EXACT)
+
+    def test_method_follows_group_sizes(self):
+        rng = make_rng(8)
+        for sizes, method in (((3, 3, 3), KW_EXACT), ((10, 10), KW_CHI2)):
+            assert kruskal_wallis(groups(*(rng.random(n) for n in sizes)))[2] == method
+            assert kruskal_wallis(groups(*(np.full(n, 5.0) for n in sizes))) == (0.0, 1.0, method)
 
     def test_null_calibration(self):
         rng = make_rng(303)
         quiet = 0
         for _ in range(100):
             a, b = rng.standard_normal(30), rng.standard_normal(30)
-            _, _, flag = kruskal_wallis(groups(a, b), alpha=0.05)
-            quiet += flag == FLAG_NOT_SIGNIFICANT
+            _, p, _ = kruskal_wallis(groups(a, b))
+            quiet += p >= 0.05
         assert quiet >= 90
 
     def test_monotone_transform_invariance(self):
@@ -257,16 +262,15 @@ class TestDunnettOneSided:
     def test_identical_treatment_not_flagged(self):
         control = SampleGroup("ctl", np.array([1.0, 2.0, 3.0, 4.0]))
         twin = SampleGroup("twin", np.array([1.0, 2.0, 3.0, 4.0]))
-        [(p, flag)] = dunnett_one_sided(control, [twin], 0.05, DunnettNulls(1, 10_000))
+        [p] = dunnett_one_sided(control, [twin], DunnettNulls(1, 10_000))
         assert p >= 0.4
-        assert flag == FLAG_NOT_SIGNIFICANT
 
     def test_k1_reduces_to_pooled_t_test(self):
         rng = make_rng(2)
         control = SampleGroup("ctl", rng.standard_normal(30))
         shifted = SampleGroup("t", rng.standard_normal(30) + 2.0)
-        [(p_mc, flag)] = dunnett_one_sided(control, [shifted], 0.05, DunnettNulls(3, 100_000))
-        assert p_mc < 0.001 and flag == FLAG_SIGNIFICANT
+        [p_mc] = dunnett_one_sided(control, [shifted], DunnettNulls(3, 100_000))
+        assert p_mc < 0.001
         # Analytic oracle: one-sided two-sample pooled t test.
         t_stat, p_ref = scipy.stats.ttest_ind(shifted.values, control.values, alternative="greater")
         assert abs(p_mc - p_ref) < 0.01
@@ -275,20 +279,20 @@ class TestDunnettOneSided:
         control = SampleGroup("ctl", np.zeros(4))
         worse = SampleGroup("worse", np.ones(4))
         better = SampleGroup("better", -np.ones(4))
-        results = dunnett_one_sided(control, [worse, better], 0.05, DunnettNulls(4, 10_000))
-        assert results[0] == (0.0, FLAG_SIGNIFICANT)
-        assert results[1] == (1.0, FLAG_NOT_SIGNIFICANT)
+        assert dunnett_one_sided(control, [worse, better], DunnettNulls(4, 10_000)).tolist() == [0.0, 1.0]
+        report = build_report([control, worse, better], "ctl", 0.05, DunnettNulls(4, 10_000))
+        assert [(o.p_value, o.flag) for o in report.dunnett] == [(0.0, FLAG_SIGNIFICANT), (1.0, FLAG_NOT_SIGNIFICANT)]
 
     def test_location_scale_invariance(self):
         rng = make_rng(5)
         base = [rng.standard_normal(10), rng.standard_normal(10) + 1.0, rng.standard_normal(10) - 0.3]
         def run(transform):
             ctl, t1, t2 = [SampleGroup(str(i), transform(v)) for i, v in enumerate(base)]
-            return dunnett_one_sided(ctl, [t1, t2], 0.05, DunnettNulls(6, 50_000))
+            return dunnett_one_sided(ctl, [t1, t2], DunnettNulls(6, 50_000))
         plain = run(lambda v: v)
         moved = run(lambda v: 3.5 * v + 11.0)
-        for (pa, fa), (pb, fb) in zip(plain, moved):
-            assert abs(pa - pb) < 1e-3 and fa == fb
+        for pa, pb in zip(plain, moved):
+            assert abs(pa - pb) < 1e-3 and (pa < 0.05) == (pb < 0.05)
 
     def test_family_adjustment_exceeds_marginal(self):
         # With many null treatments the max-statistic family p for a fixed
@@ -297,17 +301,17 @@ class TestDunnettOneSided:
         control = SampleGroup("ctl", rng.standard_normal(20))
         shifted = SampleGroup("s", rng.standard_normal(20) + 0.6)
         nulls = [SampleGroup(f"n{i}", rng.standard_normal(20)) for i in range(4)]
-        [(p_alone, _)] = dunnett_one_sided(control, [shifted], 0.05, DunnettNulls(8, 100_000))
-        ps = dunnett_one_sided(control, [shifted, *nulls], 0.05, DunnettNulls(8, 100_000))
-        assert ps[0][0] > p_alone
+        [p_alone] = dunnett_one_sided(control, [shifted], DunnettNulls(8, 100_000))
+        ps = dunnett_one_sided(control, [shifted, *nulls], DunnettNulls(8, 100_000))
+        assert ps[0] > p_alone
 
     def test_requires_enough_samples(self):
         control = SampleGroup("ctl", np.array([1.0, 2.0]))
         t1 = SampleGroup("t", np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            dunnett_one_sided(control, [t1], 0.05, DunnettNulls(0, 100))
+            dunnett_one_sided(control, [t1], DunnettNulls(0, 100))
         with pytest.raises(ValueError):
-            dunnett_one_sided(control, [], 0.05, DunnettNulls(0, 10_000))
+            dunnett_one_sided(control, [], DunnettNulls(0, 10_000))
 
     def test_fresh_stream_p_matches_mean_over_unsorted_draws(self):
         # Reference: the max-statistic null drawn in the same order from the
@@ -316,7 +320,7 @@ class TestDunnettOneSided:
         rng = make_rng(12)
         control = SampleGroup("ctl", rng.standard_normal(8))
         treatments = [SampleGroup(f"t{i}", rng.standard_normal(n) + 0.7) for i, n in enumerate((6, 9))]
-        ps = [p for p, _ in dunnett_one_sided(control, treatments, 0.05, DunnettNulls(13, 20_000))]
+        ps = dunnett_one_sided(control, treatments, DunnettNulls(13, 20_000)).tolist()
 
         n0, nj = 8.0, np.array([6.0, 9.0])
         draws = np.random.Generator(np.random.PCG64([13, 8, 6, 9, 20_000]))  # DunnettNulls(13, 20_000)'s stream
@@ -435,6 +439,27 @@ class TestBuildReport:
         assert report.kw_flag == FLAG_SIGNIFICANT
         assert [o.label for o in report.dunnett] == ["AX", "FX"]
         assert all(o.flag == FLAG_SIGNIFICANT for o in report.dunnett)
+
+    def test_alpha_moves_only_the_flags(self):
+        rng = make_rng(11)
+        gs = [SampleGroup(label, rng.standard_normal(10) + shift)
+              for label, shift in (("PSOX", 0.0), ("AX", 0.6), ("FX", 1.0), ("SBX", 3.0))]
+        strict, loose = (build_report(gs, "PSOX", alpha, DunnettNulls(2, 100_000)) for alpha in (0.01, 0.5))
+        assert (strict.kw_h, strict.kw_p, strict.kw_method) == (loose.kw_h, loose.kw_p, loose.kw_method)
+        assert [o.p_value for o in strict.dunnett] == [o.p_value for o in loose.dunnett]
+        for alpha, report in ((0.01, strict), (0.5, loose)):
+            assert report.kw_flag == FLAG_SIGNIFICANT and report.kw_p < alpha
+            assert [o.flag for o in report.dunnett] == [
+                FLAG_SIGNIFICANT if o.p_value < alpha else FLAG_NOT_SIGNIFICANT for o in report.dunnett
+            ]
+        # One Dunnett p lies between the two levels, so the flags differ.
+        assert [o.flag for o in strict.dunnett] != [o.flag for o in loose.dunnett]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        gs = groups([1, 2, 3], [4, 5, 6], labels=["PSOX", "AX"])
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            build_report(gs, "PSOX", alpha, DunnettNulls(0, 10_000))
 
     def test_records_kw_method(self):
         small = groups([1, 2, 3], [4, 5, 6], [7, 8, 9], labels=["PSOX", "AX", "FX"])
