@@ -23,6 +23,6 @@ from .operators import (
     sbx_crossover,
 )
 from .engine import GaConfig, GaState, RunTrace, SwarmMemory, init_state, run_ga, step_generation
-from .stats import DunnettNulls, SampleGroup, StatReport, build_report, dunnett_one_sided, kruskal_wallis, summarize
+from .stats import SampleGroup, StatReport, build_report, dunnett_one_sided, kruskal_wallis, summarize
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -31,7 +30,7 @@ import numpy as np
 from . import benchmarks, svgplot
 from .engine import GaConfig, RunTrace, run_ga
 from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
-from .stats import DUNNETT_MIN_SAMPLES, FLAG_NOT_RUN, DunnettNulls, SampleGroup, StatReport, build_report, summarize
+from .stats import FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
 
 MANIFEST_NAME = "manifest.json"
 CURVES_NAME = "curves.npz"
@@ -82,7 +81,6 @@ class ExperimentConfig:
     elitism: int = 1
     seed: int = 1
     alpha: float = 0.05
-    mc_samples: int = 100_000
     workers: int = 0  # 0 = logical CPU count
     output_dir: Path = Path("results")
     crossover: CrossoverConfig = field(default_factory=CrossoverConfig)
@@ -96,7 +94,6 @@ class ExperimentConfig:
             ("dimension", self.dimension >= 2, "must be >= 2 (chained benchmarks need two genes)"),
             ("mutation_rate", 0.0 <= self.mutation_rate <= 1.0, "must lie in [0, 1]"),
             ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
-            ("mc_samples", self.mc_samples >= DUNNETT_MIN_SAMPLES, "must be at least 10^4"),
             ("selection_k", self.selection_k >= 1, "must be >= 1"),
             ("elitism", 0 <= self.elitism <= self.population_size, "must lie in [0, population_size]"),
             ("seed", self.seed >= 0, "must be non-negative"),
@@ -320,6 +317,14 @@ def resolve_workers(cfg_workers: int) -> int:
     return cfg_workers or os.cpu_count() or 1
 
 
+def _process_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes. Its module is
+    imported here, so a process that never starts a pool never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
+
+
 def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]) -> Iterator[tuple[Cell, list[RunTrace] | str]]:
     """Execute runs x cells; yields ``(cell, list[RunTrace] | error str)`` in
     cell order, each as soon as the cell's last run is in.
@@ -329,7 +334,7 @@ def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]) -> Iterator[tuple[C
     """
     jobs = [(cell, r) for cell in cells for r in range(cfg.runs)]
     workers = min(resolve_workers(cfg.workers), len(jobs))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         configs = [ga_config_for(cfg, cell, r) for cell, r in jobs]
         calls = [pool.submit(run_ga, c).result if pool else partial(run_ga, c) for c in configs]
         traces, error = [], None
@@ -438,8 +443,6 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], s
         "crossover_rate": cfg.crossover.crossover_rate,
         "mutation_rate": None if kind == "sweep" else cfg.mutation_rate,
         "master_seed": cfg.seed,
-        "mc_seed": cfg.seed,
-        "mc_samples": cfg.mc_samples,
         "alpha": cfg.alpha,
         "cells": [
             {
@@ -582,14 +585,12 @@ def analyze(
     single run or a non-finite final is left out of its block's tests; its
     summary row still gives the mean and std, and its Dunnett row holds
     dashes. Blocks lacking a usable control or with fewer than two usable
-    groups keep their test columns dashed. The Dunnett null is sampled once
-    per design (group sizes, control first, and ``mc_samples``) per call,
-    seeded from the manifest's ``mc_seed`` and the design, so a block's
-    results depend only on its own trace files, alpha and those two manifest
-    entries. An alpha outside (0, 1), a control the
-    bundle lacks or a sweep bundle raises ``ConfigError`` before anything is
-    written. Also writes the curve digest ``curves.npz`` for
-    ``plot_convergence``; the tables never read it.
+    groups keep their test columns dashed. A block's results depend only on
+    its own trace files and alpha: every p is computed, none sampled, so the
+    ``mc_seed`` and ``mc_samples`` entries of older manifests are ignored.
+    An alpha outside (0, 1), a control the bundle lacks or a sweep bundle
+    raises ``ConfigError`` before anything is written. Also writes the curve
+    digest ``curves.npz`` for ``plot_convergence``; the tables never read it.
 
     The trace files are parsed and reduced with as many worker processes as
     ``run`` uses (``RCGA_WORKERS``, else the CPU count); the statistics and
@@ -620,9 +621,8 @@ def analyze(
     if workers <= 1:
         reduced = list(map(reduce_cell, cells))
     else:  # a few chunks per worker: one future per cell costs more than it balances
-        with ProcessPoolExecutor(workers) as pool:
+        with _process_pool(workers) as pool:
             reduced = list(pool.map(reduce_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
-    nulls = DunnettNulls(int(manifest["mc_seed"]), int(manifest.get("mc_samples", 100_000)))
     digest: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
@@ -644,7 +644,7 @@ def analyze(
             report = None
             control_group = f"{control_label}-{mutation}"
             if len(usable) >= 2 and any(g.label == control_group for g in usable):
-                report = build_report(usable, control_group, alpha, nulls)
+                report = build_report(usable, control_group, alpha)
             analyses.append(ProblemAnalysis(problem, mutation, report, groups))
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)

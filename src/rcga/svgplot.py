@@ -2,6 +2,7 @@
 
 One function, ``render_panel``, draws a panel: mean curves with shaded
 +/-1 std bands, linear or log10 vertical axis, ticks, legend and title.
+A log axis spans whole decades, so each of its ticks lies inside the frame.
 Output is deterministic for identical input.
 
 Each polyline's and polygon's ``points`` text is the pixel coordinates as
@@ -56,8 +57,8 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    lo_e, hi_e = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
+def _log_ticks(lo_e: int, hi_e: int) -> list[float]:
+    """Decade ticks from 10^lo_e up to 10^hi_e; an axis of 14 or more decades ticks every few."""
     stride = max(1, (hi_e - lo_e) // 7)
     return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
 
@@ -127,8 +128,8 @@ def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series
     vals = np.concatenate([mean, mean - std, mean + std])
     vals = vals[np.isfinite(vals) & (vals > 0.0)] if log_y else vals[np.isfinite(vals)]
     y_lo, y_hi = (vals.min(), vals.max()) if vals.size else (1.0, 1.0)
-    if log_y:
-        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
+    if log_y:  # rounded out to the enclosing decades, so every decade tick lies on the axis
+        y_lo, y_hi = math.floor(math.log10(y_lo)), math.ceil(math.log10(y_hi))
     if y_hi - y_lo < 1e-12:
         y_hi = y_lo + 1.0
     # On a log axis, series values below the axis floor (band edges at or
@@ -178,7 +179,7 @@ def render_panel(title: str, x_label: str, y_label: str, series: Sequence[Series
             f'<text x="{px:.1f}" y="{y0 + 19}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_tick_label(t, False)}</text>'
         )
-    for t in _log_ticks(10.0**y_lo, 10.0**y_hi) if log_y else _linear_ticks(y_lo, y_hi):
+    for t in _log_ticks(int(y_lo), int(y_hi)) if log_y else _linear_ticks(y_lo, y_hi):
         py = y_pix(t)
         b.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
         b.append(f'<line x1="{x0}" y1="{py:.1f}" x2="{x1}" y2="{py:.1f}" stroke="#dddddd" stroke-width="0.5"/>')

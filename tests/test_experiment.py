@@ -52,7 +52,6 @@ def write_config(path: Path, **overrides) -> Path:
         "runs": "3",
         "seed": "11",
         "workers": "1",
-        "mc_samples": "10000",
         "output_dir": str(path.parent / "bundle"),
     }
     base.update({k: str(v) for k, v in overrides.items()})
@@ -176,10 +175,10 @@ class TestParseConfig:
         assert f"a.cfg: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
-    def test_mc_samples_below_dunnett_floor_rejected(self, tmp_path):
-        assert parse_config(write_config(tmp_path / "a.cfg", mc_samples=10_000)).mc_samples == 10_000
-        path = write_config(tmp_path / "a.cfg", mc_samples=9_999)
-        with pytest.raises(ConfigError, match=r"a\.cfg: mc_samples: must be at least 10\^4"):
+    def test_mc_samples_is_an_unknown_key(self, tmp_path):
+        # The Dunnett p is computed, not sampled, so no key sets a sample count.
+        path = write_config(tmp_path / "a.cfg", mc_samples=100_000)
+        with pytest.raises(ConfigError, match=r"^.*a\.cfg: mc_samples: unknown key$"):
             parse_config(path)
 
     def test_direct_construction_checks_every_range(self):
@@ -190,7 +189,6 @@ class TestParseConfig:
             ("dimension", 1, "must be >= 2 (chained benchmarks need two genes)"),
             ("mutation_rate", 1.5, "must lie in [0, 1]"),
             ("alpha", 1.0, "must lie in (0, 1)"),
-            ("mc_samples", 9_999, "must be at least 10^4"),
             ("selection_k", 0, "must be >= 1"),
             ("elitism", 301, "must lie in [0, population_size]"),  # population_size is 300
             ("seed", -1, "must be non-negative"),
@@ -508,28 +506,25 @@ class TestAnalyze:
         second = (bundle / "summary.csv").read_bytes() + (bundle / "dunnett.csv").read_bytes()
         assert first == second
 
-    def test_one_null_is_sampled_per_design(self, tmp_path, monkeypatch):
-        from rcga import stats
-
-        sampled = []
-        real = stats._sorted_max_null
-
-        def counting(sizes, mc_samples, rng):
-            sampled.append((tuple(sizes), mc_samples))
-            return real(sizes, mc_samples, rng)
-
-        monkeypatch.setattr(stats, "_sorted_max_null", counting)
-        # Problem 4 loses its FX cell, so its block has a second design.
-        bundle = write_bundle(tmp_path / "b", planted_finals((1, 2, 3, 4)), failed={(4, "FX")})
-        analyses = analyze(bundle)
-        assert all(a.report.kw_flag == "+" for a in analyses)
-        assert sorted(sampled) == [((5.0, 5.0), 10000), ((5.0, 5.0, 5.0), 10000)]
+    def test_old_manifest_sampling_entries_are_ignored(self, tmp_path):
+        # Bundles written before the Dunnett p was computed carry mc_seed and
+        # mc_samples; their tables equal those of the same bundle without them.
+        tables = []
+        for name, entries in (("old", {"mc_seed": 3, "mc_samples": 10000}), ("new", {})):
+            bundle = write_bundle(tmp_path / name, planted_finals((1, 2, 3, 4)), failed={(4, "FX")})
+            manifest = {key: value for key, value in load_manifest(bundle).items() if not key.startswith("mc_")}
+            (bundle / "manifest.json").write_text(json.dumps({**manifest, **entries}))
+            analyses = analyze(bundle)
+            assert all(a.report.kw_flag == "+" for a in analyses)
+            tables.append([(bundle / f).read_bytes() for f in ("summary.csv", "dunnett.csv", CURVES_NAME)])
+        assert tables[0] == tables[1]
 
     def test_chi_square_tables_are_pinned(self, tmp_path):
         # Three groups of 10 runs take the chi-square tail. Problem 1 is pure
         # noise (flagged at p = 0.015) and problem 2 is not flagged, so a tail
-        # that moves a flag or a Dunnett p changes these digests, taken when
-        # scipy computed the tail.
+        # that moves a flag or a Dunnett p changes these digests: summary.csv's
+        # taken when scipy computed the tail, dunnett.csv's since its p-values
+        # come from quadrature.
         rng = np.random.default_rng(29)
         finals = {(p, op): 0.1 * (p - 1) * level + rng.random(10) for p in (1, 2, 3, 4)
                   for op, level in (("PSOX", 0.0), ("AX", 1.0), ("FX", 2.0))}
@@ -539,7 +534,7 @@ class TestAnalyze:
             ("chi2", "+"), ("chi2", "~"), ("chi2", "+"), ("chi2", "+")]
         digests = [hashlib.sha256((bundle / name).read_bytes()).hexdigest() for name in ("summary.csv", "dunnett.csv")]
         assert digests == ["95cc6556736394cbba8aa3d9a889dc2df92a30cfe343ee10ac439b284670247a",
-                           "2dbb569415e63d00c713812e2ba34082051a203eaaec6efe9faf938fee334293"]
+                           "e49d9fb211b558db9cda73d5a9259877bcd2b340c269b1ec24ab32c9ed8e27fc"]
 
     def test_block_p_values_do_not_depend_on_other_blocks(self, tmp_path):
         finals = planted_finals((1, 2, 3))
@@ -718,12 +713,13 @@ class TestAnalyzeWorkers:
         bundle = self.bundle(tmp_path)
         pools = []
 
-        class CountingPool(experiment.ProcessPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        start_pool = experiment._process_pool
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        def counting_pool(workers):
+            pools.append(workers)
+            return start_pool(workers)
+
+        monkeypatch.setattr(experiment, "_process_pool", counting_pool)
         outputs = {}
         for workers in ("1", "2"):
             monkeypatch.setenv("RCGA_WORKERS", workers)
@@ -763,7 +759,7 @@ class TestAnalyzeWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for one cell")
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiment, "_process_pool", no_pool)
         monkeypatch.setenv("RCGA_WORKERS", "2")
         [analysis] = analyze(bundle)
         assert [op for op, values in analysis.groups if values is not None] == ["PSOX"]

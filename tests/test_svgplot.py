@@ -36,16 +36,17 @@ CASES = {
     "palette_wrap": [Series(f"S{i}", X, (i + 1) / X, 0.25 / X) for i in range(len(svgplot.PALETTE) + 2)],
 }
 
-# SHA-256 of each panel: the first four recorded from the per-point renderer
-# that the one-pass ``_points`` replaced, the last two from the renderer
-# before its drawing steps were folded into ``render_panel``.
+# SHA-256 of each panel. "linear" was recorded from the per-point renderer
+# that the one-pass ``_points`` replaced; the five log-axis panels were
+# re-recorded when the log axis was rounded out to whole decades, which moved
+# their ticks inside the frame and rescaled their points.
 DIGESTS = {
-    "log": "f34f62a6efd92dcdc28b3eab36ced4d912251fae33dabcdcaa3e45600ff6fc42",
+    "log": "5cfc8ec0c42e62d3682424fb2a6fe8a8d541c88d7a5727bcc2b40e6b147044e8",
     "linear": "186a67f4089488e5a975be88f1ff471dce678a64a390c049f3f0424da507c0cf",
-    "log_clamped_band": "6259c632c1b0fbc339e94834b2c275200c2c9326fb773359cd14f7106d4b0848",
-    "sweep_lists": "005dbb07c278486fe8796000840590e22eeeff030468c2d83355ca27bc15a7bd",
-    "inf_mean": "936b69a8fb40ebe738d70b5ccc5af47ed5db0c61498a1740e59cd6d396c2bdd2",
-    "palette_wrap": "248751f4d5f669892dabf951585d5fc3eb7ac7eab4e377b82e0962d49d2e5fa4",
+    "log_clamped_band": "fb0ff533e122126439d67e38189bf3d2a73282aad945ed46c8590cd1a27232d6",
+    "sweep_lists": "876a75ebdd81129b3dba7a658daf38d5bdb0308c24cc93bf4b1f7829175e705e",
+    "inf_mean": "b46a755135d544bc0854e1b7c98cb6892e246c13598e48efb1d39389bc770dc4",
+    "palette_wrap": "4333106f952badd0a0d8cdea7c73bf6a0b1406fc8cef3ae63e36df885217c42d",
 }
 
 
@@ -59,6 +60,19 @@ def test_axis_choice():
     assert ">1e" in render_panel("t", "x", "y", CASES["log"])
     assert ">1e" not in render_panel("t", "x", "y", CASES["linear"])
     assert ">1e" in render_panel("t", "x", "y", CASES["log_clamped_band"])
+
+
+@pytest.mark.parametrize("case", ["log", "log_clamped_band", "sweep_lists", "inf_mean", "palette_wrap"])
+def test_log_tick_labels_lie_inside_the_frame(case):
+    """Each y tick label is centred on its tick (its baseline sits 4 px below),
+    and every tick lies between the top and the bottom of the frame. On the
+    "log" panel (means 100/x^2 and 50/x) the 1e-2 label once sat below the x
+    axis and the 1e3 label above the canvas."""
+    svg = render_panel("t", "x", "y", CASES[case])
+    label_x = f'x="{svgplot.MARGIN_L - 9}"'  # where y tick labels sit
+    rows = [float(el.split(' y="')[1].split('"')[0]) - 4 for el in svg.splitlines() if label_x in el]
+    assert len(rows) >= 2
+    assert all(svgplot.MARGIN_T <= y <= svgplot.HEIGHT - svgplot.MARGIN_B for y in rows), rows
 
 
 def test_one_x_gets_distinct_tick_labels():
