@@ -11,9 +11,10 @@ Subcommands:
 finish, and the bundle manifest at the end. Worker count comes from the
 config's ``workers`` key, overridden by the RCGA_WORKERS environment
 variable; both take an integer >= 0, where 0 means the logical CPU count.
-``analyze`` parses the trace files with the same count (RCGA_WORKERS, else
-the CPU count); its tables do not depend on it. ``analyze`` refuses a sweep
-bundle, whose table is ``sweep.csv``.
+``analyze`` parses only the trace files whose bytes no row of the bundle's
+``curves.npz`` digest matches, with the same count (RCGA_WORKERS, else the
+CPU count); its tables depend on neither. ``plot`` reads the same digest.
+``analyze`` refuses a sweep bundle, whose table is ``sweep.csv``.
 Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 """
 from __future__ import annotations

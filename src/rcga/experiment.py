@@ -500,68 +500,107 @@ def load_manifest(bundle_dir: Path | str) -> dict:
 
 
 # The curve digest: per usable trace file, keyed by the SHA-256 of its bytes,
-# the per-generation mean and std of its runs. ``analyze`` writes it while it
-# holds each cell's curves; ``plot_convergence`` reuses a row only when the
-# file's bytes still hash to its key, so a rewritten trace is parsed again.
+# the whole reduction of its cell: the runs' finals and the per-generation mean
+# and std. ``analyze`` and ``plot_convergence`` take a cell from its row only
+# when the file's bytes still hash to the key, so a rewritten trace is parsed
+# again; a size or mtime shortcut would not see a same-size rewrite.
+
+_Reduction = tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # (finals, (mean, std))
 
 
 def _file_sha256(path: Path) -> bytes:
-    return hashlib.sha256(path.read_bytes()).digest()
+    # In blocks, so that no whole-file buffer is allocated per trace: a
+    # re-analysis and its plot hash every trace of the bundle.
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            sha.update(block)
+    return sha.digest()
 
 
-def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[np.ndarray, bytes, tuple[np.ndarray, np.ndarray]]]:
-    """``(finals, sha256, (mean, std))`` of one manifest cell, runs in run-id
-    order: the read side's only path from a trace file to numbers. None if the
-    cell is not ``ok``, its trace is missing or empty, or its runs differ in
-    length. Module-level, so a process pool can run it."""
-    if cell["status"] != "ok":
-        return None
+def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[bytes, _Reduction]]:
+    """``(sha256, (finals, (mean, std)))`` of one manifest cell's trace file,
+    runs in run-id order: the read side's only path from a trace file to
+    numbers. None if the trace is empty or its runs differ in length.
+    Module-level, so a process pool can run it."""
     path = Path(bundle_dir) / cell["file"]
-    if not path.is_file():
-        return None
     runs = read_trace_csv(path)
     if not runs or len({curve.size for curve in runs.values()}) > 1:
         return None
     curves = np.vstack([runs[r] for r in sorted(runs)])
     # A view of the last column would keep the whole matrix alive.
-    return curves[:, -1].copy(), _file_sha256(path), summarize(curves)
+    return _file_sha256(path), (curves[:, -1].copy(), summarize(curves))
+
+
+def _reduce_cells(
+    bundle_dir: Path, cells: Sequence[dict], digest: Mapping[bytes, _Reduction], workers: int
+) -> list[Optional[tuple[bytes, _Reduction]]]:
+    """``_reduce_cell`` of each cell, in order; None for a cell that is not
+    ``ok`` or whose trace is missing. A trace that hashes to a ``digest`` row
+    is taken from it; only the others are parsed, in a pool of up to
+    ``workers`` processes when more than one is."""
+    reduced: list[Optional[tuple[bytes, _Reduction]]] = [None] * len(cells)
+    missed = []
+    for i, cell in enumerate(cells):
+        path = bundle_dir / cell["file"]
+        if cell["status"] != "ok" or not path.is_file():
+            continue
+        if digest and (sha := _file_sha256(path)) in digest:
+            reduced[i] = sha, digest[sha]
+        else:
+            missed.append(i)
+    reduce_cell = partial(_reduce_cell, bundle_dir)
+    todo = [cells[i] for i in missed]
+    workers = min(workers, len(todo))
+    if workers <= 1:
+        parsed = map(reduce_cell, todo)
+    else:  # a few chunks per worker: one future per cell costs more than it balances
+        with _process_pool(workers) as pool:
+            parsed = list(pool.map(reduce_cell, todo, chunksize=max(1, len(todo) // (4 * workers))))
+    for i, r in zip(missed, parsed):
+        reduced[i] = r
+    return reduced
 
 
 def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
     """Final best objective per run for one ok cell, or None if unusable."""
-    reduced = _reduce_cell(bundle_dir, cell)
-    return None if reduced is None else reduced[0]
+    [reduced] = _reduce_cells(Path(bundle_dir), [cell], {}, 1)
+    return None if reduced is None else reduced[1][0]
 
 
-def _write_curve_digest(path: Path, rows: dict[bytes, tuple[np.ndarray, np.ndarray]]) -> None:
-    """Save ``sha -> (mean, std)`` as three stacked arrays; rows whose length
-    differs from the first row's are left out, and plotting parses those."""
-    length = next((mean.size for mean, _ in rows.values()), 0)
-    rows = {sha: ms for sha, ms in rows.items() if ms[0].size == length}
+def _write_curve_digest(path: Path, rows: Mapping[bytes, _Reduction]) -> None:
+    """Save ``sha -> (finals, (mean, std))`` as four stacked arrays; rows
+    whose shapes differ from the first row's are left out, so their cells
+    are parsed, and the digest rewritten, at each analysis."""
+    shapes = [(f.size, m.size) for f, (m, _) in rows.values()]
+    rows = {sha: r for (sha, r), shape in zip(rows.items(), shapes) if shape == shapes[0]}
+    runs, length = shapes[0] if shapes else (0, 0)
     arrays = {
         "sha": np.array(list(rows), dtype="S32"),
-        "mean": np.array([m for m, _ in rows.values()]).reshape(len(rows), length),
-        "std": np.array([s for _, s in rows.values()]).reshape(len(rows), length),
+        "finals": np.array([f for f, _ in rows.values()]).reshape(len(rows), runs),
+        "mean": np.array([m for _, (m, _) in rows.values()]).reshape(len(rows), length),
+        "std": np.array([s for _, (_, s) in rows.values()]).reshape(len(rows), length),
     }
     _replace_atomically(path, lambda fh: np.savez(fh, **arrays), mode="wb")
 
 
-def _load_curve_digest(path: Path) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
-    """The digest at ``path`` as ``sha -> (mean, std)``; ``{}`` when it is
-    missing, unreadable or mis-shaped."""
+def _load_curve_digest(path: Path) -> dict[bytes, _Reduction]:
+    """The digest at ``path`` as ``sha -> (finals, (mean, std))``; ``{}`` when
+    it is missing, unreadable, mis-shaped or of the format without finals."""
     try:
         with np.load(path, allow_pickle=False) as npz:
-            sha, mean, std = npz["sha"], npz["mean"], npz["std"]
+            sha, finals, mean, std = npz["sha"], npz["finals"], npz["mean"], npz["std"]
     except Exception:  # noqa: BLE001
         # A damaged zip fails in many ways (BadZipFile, NotImplementedError,
         # RuntimeError, tokenize errors, ...); each means there is no digest.
         return {}
-    shaped = mean.ndim == 2 and std.shape == mean.shape and sha.shape == mean.shape[:1]
-    if not shaped or sha.dtype != "S32" or mean.dtype != np.float64 or std.dtype != np.float64:
+    shaped = (mean.ndim == finals.ndim == 2 and std.shape == mean.shape
+              and sha.shape == mean.shape[:1] == finals.shape[:1])
+    if not shaped or sha.dtype != "S32" or any(a.dtype != np.float64 for a in (finals, mean, std)):
         return {}
     # tobytes keeps trailing NUL bytes, which indexing an S32 array strips.
     keys = sha.tobytes()
-    return {keys[32 * i:32 * (i + 1)]: (mean[i], std[i]) for i in range(sha.size)}
+    return {keys[32 * i:32 * (i + 1)]: (finals[i], (mean[i], std[i])) for i in range(sha.size)}
 
 
 @dataclass
@@ -589,12 +628,15 @@ def analyze(
     its own trace files and alpha: every p is computed, none sampled, so the
     ``mc_seed`` and ``mc_samples`` entries of older manifests are ignored.
     An alpha outside (0, 1), a control the bundle lacks or a sweep bundle
-    raises ``ConfigError`` before anything is written. Also writes the curve
-    digest ``curves.npz`` for ``plot_convergence``; the tables never read it.
+    raises ``ConfigError`` before anything is written.
 
-    The trace files are parsed and reduced with as many worker processes as
-    ``run`` uses (``RCGA_WORKERS``, else the CPU count); the statistics and
-    every written byte do not depend on that count.
+    A cell whose trace file still hashes to a row of the curve digest
+    ``curves.npz`` is taken from that row; only the other traces are parsed
+    and reduced, with as many worker processes as ``run`` uses
+    (``RCGA_WORKERS``, else the CPU count) when more than one is. The digest
+    is rewritten, for ``plot_convergence`` and the next ``analyze``, when its
+    set of keys changed. The statistics and every written byte depend neither
+    on the worker count nor on whether the digest was there.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -616,25 +658,17 @@ def analyze(
     if control_label not in operators:
         raise ConfigError(f"control: {control_label} is not an operator of this bundle; it has {', '.join(operators)}")
 
-    workers = min(resolve_workers(0), len(cells))
-    reduce_cell = partial(_reduce_cell, bundle_dir)
-    if workers <= 1:
-        reduced = list(map(reduce_cell, cells))
-    else:  # a few chunks per worker: one future per cell costs more than it balances
-        with _process_pool(workers) as pool:
-            reduced = list(pool.map(reduce_cell, cells, chunksize=max(1, len(cells) // (4 * workers))))
-    digest: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    digest_path = bundle_dir / CURVES_NAME
+    stored = _load_curve_digest(digest_path)
+    reduced = _reduce_cells(bundle_dir, cells, stored, resolve_workers(0))
+    digest = dict(r for r in reduced if r is not None)
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
         for mutation in mutations:
             block = [(c, r) for c, r in zip(cells, reduced) if c["problem"] == problem and c["mutation"] == mutation]
             if not block:
                 continue
-            by_op = {}
-            for c, r in block:
-                by_op[c["operator"]] = None if r is None else r[0]
-                if r is not None:
-                    digest[r[1]] = r[2]
+            by_op = {c["operator"]: None if r is None else r[1][0] for c, r in block}
             groups = [(op, by_op.get(op)) for op in operators if op in by_op]
             usable = [
                 SampleGroup(f"{op}-{mutation}", vals)
@@ -649,7 +683,8 @@ def analyze(
 
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)
     _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, control_label, sig_figs)
-    _write_curve_digest(bundle_dir / CURVES_NAME, digest)
+    if digest.keys() != stored.keys():  # a row is a pure function of its key
+        _write_curve_digest(digest_path, digest)
     return analyses
 
 
@@ -706,29 +741,20 @@ def plot_convergence(
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
-    digest = _load_curve_digest(bundle_dir / CURVES_NAME)
     out_dir = Path(output) if output else bundle_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     available = sorted({c["problem"] for c in manifest["cells"]})
     wanted = list(problems) if problems else available
+    cells = [c for c in manifest["cells"] if c["problem"] in wanted]
+    reduced = _reduce_cells(bundle_dir, cells, _load_curve_digest(bundle_dir / CURVES_NAME), 1)
 
     written: list[Path] = []
     for problem in wanted:
         series = []
-        for cell in manifest["cells"]:
-            if cell["problem"] != problem:
-                continue
-            stats = None
-            trace = bundle_dir / cell["file"]
-            if digest and cell["status"] == "ok" and trace.is_file():
-                stats = digest.get(_file_sha256(trace))
-            if stats is None:
-                reduced = _reduce_cell(bundle_dir, cell)
-                if reduced is None:
-                    continue
-                stats = reduced[2]
-            mean, std = stats
-            series.append(svgplot.Series(cell["label"], np.arange(1, mean.size + 1), mean, std))
+        for cell, r in zip(cells, reduced):
+            if cell["problem"] == problem and r is not None:
+                mean, std = r[1][1]
+                series.append(svgplot.Series(cell["label"], np.arange(1, mean.size + 1), mean, std))
         if not series:
             continue
         path = out_dir / f"convergence_p{problem:02d}.svg"

@@ -603,8 +603,9 @@ class TestPlot:
 
 
 class TestCurveDigest:
-    """``analyze`` leaves ``curves.npz``; ``plot_convergence`` reuses rows whose
-    trace bytes still hash to their key and parses every other trace."""
+    """``analyze`` leaves ``curves.npz``; ``analyze`` and ``plot_convergence``
+    reuse rows whose trace bytes still hash to their key and parse every other
+    trace."""
 
     @staticmethod
     def bundle(tmp_path) -> Path:
@@ -613,6 +614,28 @@ class TestCurveDigest:
     @staticmethod
     def svgs(bundle: Path, out: Path) -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in plot_convergence(bundle, output=out)}
+
+    @staticmethod
+    def tables(bundle: Path) -> list[bytes]:
+        return [(bundle / name).read_bytes() for name in ("summary.csv", "dunnett.csv")]
+
+    @staticmethod
+    def flip_exponent_signs(bundle: Path) -> None:
+        """Rewrite the first cell's trace at the same size with other values."""
+        path = bundle / load_manifest(bundle)["cells"][0]["file"]
+        old = path.read_bytes()
+        header, body = old.split(b"\n", 1)
+        path.write_bytes(header + b"\n" + body.translate(bytes.maketrans(b"+-", b"-+")))
+        assert path.stat().st_size == len(old) and path.read_bytes() != old
+
+    @staticmethod
+    def count_parses(monkeypatch) -> list:
+        """The paths ``read_trace_csv`` is called with, in this process only."""
+        parsed = []
+        real = experiment.read_trace_csv
+        monkeypatch.setattr(experiment, "read_trace_csv", lambda path: parsed.append(path) or real(path))
+        monkeypatch.setenv("RCGA_WORKERS", "1")
+        return parsed
 
     def test_plot_from_digest_is_byte_identical(self, tmp_path):
         bundle = self.bundle(tmp_path)
@@ -626,11 +649,7 @@ class TestCurveDigest:
         bundle = self.bundle(tmp_path)
         analyze(bundle)
         before = self.svgs(bundle, tmp_path / "before")
-        path = bundle / load_manifest(bundle)["cells"][0]["file"]
-        old = path.read_bytes()
-        header, body = old.split(b"\n", 1)
-        path.write_bytes(header + b"\n" + body.translate(bytes.maketrans(b"+-", b"-+")))  # flip exponent signs
-        assert path.stat().st_size == len(old) and path.read_bytes() != old
+        self.flip_exponent_signs(bundle)
         after = self.svgs(bundle, tmp_path / "after")
         (bundle / CURVES_NAME).unlink()
         assert after == self.svgs(bundle, tmp_path / "parsed")
@@ -647,10 +666,12 @@ class TestCurveDigest:
             digest.write_bytes(b"not a zip file\n" * 50)
         elif damage == "empty":
             digest.write_bytes(b"")
-        else:
+        else:  # one array with fewer rows than the others: sha, then finals
             with np.load(digest) as npz:
                 arrays = dict(npz)
-            np.savez(digest, sha=arrays["sha"][:1], mean=arrays["mean"], std=arrays["std"])
+            for name in ("sha", "finals"):
+                np.savez(digest, **{**arrays, name: arrays[name][:1]})
+                assert _load_curve_digest(digest) == {}
         assert _load_curve_digest(digest) == {}
         drawn = self.svgs(bundle, tmp_path / "a")
         digest.unlink()
@@ -690,14 +711,97 @@ class TestCurveDigest:
         assert sorted(parsed) == sorted(files) and len(files) == 4
 
     def test_keys_with_trailing_nul_bytes_round_trip(self, tmp_path):
-        rows = {bytes(31) + b"\x01": (np.arange(3.0), np.ones(3)), b"\xff" * 30 + bytes(2): (np.zeros(3), np.zeros(3))}
+        rows = {bytes(31) + b"\x01": (np.array([2.0, np.inf]), (np.arange(3.0), np.ones(3))),
+                b"\xff" * 30 + bytes(2): (np.array([np.nan, -0.0]), (np.zeros(3), np.zeros(3)))}
         _write_curve_digest(tmp_path / CURVES_NAME, rows)
         loaded = _load_curve_digest(tmp_path / CURVES_NAME)
         assert set(loaded) == set(rows)
-        for sha, (mean, std) in rows.items():
-            np.testing.assert_array_equal(loaded[sha][0], mean)
-            np.testing.assert_array_equal(loaded[sha][1], std)
+        for sha, (finals, (mean, std)) in rows.items():
+            got_finals, (got_mean, got_std) = loaded[sha]
+            assert got_finals.tobytes() == finals.tobytes()
+            np.testing.assert_array_equal(got_mean, mean)
+            np.testing.assert_array_equal(got_std, std)
         assert [p.name for p in tmp_path.iterdir()] == [CURVES_NAME]
+
+    def test_second_analyze_parses_no_trace(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        parsed = self.count_parses(monkeypatch)
+        analyze(bundle)
+        assert len(parsed) == 4
+        first = self.tables(bundle)
+        parsed.clear()
+        analyze(bundle)
+        assert parsed == [] and self.tables(bundle) == first
+
+    def test_second_analyze_starts_no_pool(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        manifest = load_manifest(bundle)
+        for cell in manifest["cells"][:2]:  # unusable cells have no row, and parse nothing
+            cell["status"] = "failed: run 1: boom"
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setenv("RCGA_WORKERS", "2")
+        analyze(bundle)
+        first = self.tables(bundle)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started although every cell has a digest row")
+
+        monkeypatch.setattr(experiment, "_process_pool", no_pool)
+        analyze(bundle)
+        assert self.tables(bundle) == first
+
+    def test_digest_is_rewritten_only_when_its_keys_change(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        writes = []
+        real = experiment._write_curve_digest
+        monkeypatch.setattr(experiment, "_write_curve_digest", lambda path, rows: writes.append(len(rows)) or real(path, rows))
+        analyze(bundle)
+        analyze(bundle, alpha=0.2)
+        assert writes == [4]
+        path = bundle / load_manifest(bundle)["cells"][0]["file"]
+        path.write_bytes(path.read_bytes() + b"\n")  # an empty line: same curves, new key
+        analyze(bundle)
+        assert writes == [4, 4]
+
+    def test_same_size_rewrite_is_analysed_from_the_new_bytes(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        before = self.tables(bundle)
+        self.flip_exponent_signs(bundle)
+        analyze(bundle)
+        after = self.tables(bundle)
+        (bundle / CURVES_NAME).unlink()
+        analyze(bundle)
+        assert after == self.tables(bundle)
+        assert after != before
+
+    def test_digest_without_finals_is_rebuilt(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        cold = self.tables(bundle)
+        digest = bundle / CURVES_NAME
+        with np.load(digest) as npz:
+            current = dict(npz)
+        np.savez(digest, sha=current["sha"], mean=current["mean"], std=current["std"])  # the format before finals
+        assert _load_curve_digest(digest) == {}
+        parsed = self.count_parses(monkeypatch)
+        analyze(bundle)
+        assert len(parsed) == 4 and self.tables(bundle) == cold
+        with np.load(digest) as npz:
+            rebuilt = dict(npz)
+        assert rebuilt.keys() == current.keys() == {"sha", "finals", "mean", "std"}
+        for key in current:
+            np.testing.assert_array_equal(rebuilt[key], current[key])
+
+    @pytest.mark.parametrize("options", [{"control_label": "AX"}, {"alpha": 0.2}, {"sig_figs": 2}])
+    def test_warm_tables_equal_cold_ones(self, tmp_path, options):
+        bundle = write_bundle(tmp_path / "b", planted_finals((1, 2, 3)))
+        analyze(bundle)
+        analyze(bundle, **options)
+        warm = self.tables(bundle)
+        (bundle / CURVES_NAME).unlink()
+        analyze(bundle, **options)
+        assert warm == self.tables(bundle)
 
 
 class TestAnalyzeWorkers:
@@ -733,7 +837,7 @@ class TestAnalyzeWorkers:
         assert pools == [2]
         (files_1, arrays_1), (files_2, arrays_2) = outputs["1"], outputs["2"]
         assert files_1 == files_2 and {"summary.csv", "dunnett.csv", "convergence_p09.svg"} <= set(files_1)
-        assert arrays_1.keys() == arrays_2.keys() == {"sha", "mean", "std"}
+        assert arrays_1.keys() == arrays_2.keys() == {"sha", "finals", "mean", "std"}
         for key in arrays_1:
             np.testing.assert_array_equal(arrays_1[key], arrays_2[key])
 
