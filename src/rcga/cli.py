@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute all runs of an experiment config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--scale", choices=["paper", "desk"], help="override the config's scale preset")
+    p_run.add_argument("--scale", choices=["paper", "desk"],
+                       help="set the config's scale key; its explicit population_size/generations/runs keys still win")
     p_run.add_argument("--output-dir", type=Path, help="override the bundle directory")
     p_run.set_defaults(handler=_cmd_run)
 
@@ -63,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="mutation-rate sweep with the PSOX-GM configuration")
     p_sweep.add_argument("config", type=Path)
-    p_sweep.add_argument("--scale", choices=["paper", "desk"])
+    p_sweep.add_argument("--scale", choices=["paper", "desk"],
+                         help="set the config's scale key; the file's keys and the sweep's defaults still win")
     p_sweep.add_argument("--output-dir", type=Path)
     p_sweep.set_defaults(handler=_cmd_sweep)
 

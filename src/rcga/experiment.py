@@ -260,46 +260,35 @@ def parse_config(
 # Cell construction and execution
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One (problem, operator, mutation[, rate]) combination of an experiment."""
-
-    index: int
-    problem: int
-    operator: CrossoverKind
-    mutation: MutationKind
-    rate: Optional[float] = None  # set for sweep bundles
-
-    @property
-    def label(self) -> str:
-        base = f"{self.operator.value}-{self.mutation.value}"
-        if self.rate is not None:
-            base += f"@{self.rate:g}"
-        return base
-
-    @property
-    def filename(self) -> str:
-        stem = f"trace_p{self.problem:02d}_{self.operator.value}_{self.mutation.value}"
-        if self.rate is not None:
-            stem += f"_rate{self.rate:g}"
-        return stem + ".csv"
+def experiment_cells(problems, operators, mutations, rates=(None,)) -> list[dict]:
+    """The grid's manifest cell records, without their status, in
+    ``itertools.product`` order and indexed from 0; a sweep passes its rates."""
+    cells = []
+    for index, (problem, op, mut, rate) in enumerate(itertools.product(problems, operators, mutations, rates)):
+        at, suffix = ("", "") if rate is None else (f"@{rate:g}", f"_rate{rate:g}")
+        cells.append({
+            "index": index, "problem": problem, "operator": op.value, "mutation": mut.value, "rate": rate,
+            "label": f"{op.value}-{mut.value}{at}",
+            "file": f"trace_p{problem:02d}_{op.value}_{mut.value}{suffix}.csv",
+        })
+    return cells
 
 
-def ga_config_for(cfg: ExperimentConfig, cell: Cell, run_index: int) -> GaConfig:
-    """Assemble the engine config for one run of one cell.
+def ga_config_for(cfg: ExperimentConfig, cell: dict, run_index: int) -> GaConfig:
+    """Assemble the engine config for one run of one cell record.
 
     The study-level mutation rate is chromosome-level: a rate of m gives each
     child an expected m perturbed genes (per-gene probability m/dimension).
     """
-    rate = cfg.mutation_rate if cell.rate is None else cell.rate
+    rate = cfg.mutation_rate if cell["rate"] is None else cell["rate"]
     return GaConfig(
-        objective=benchmarks.benchmark_spec(cell.problem, dimension=cfg.dimension),
+        objective=benchmarks.benchmark_spec(cell["problem"], dimension=cfg.dimension),
         population_size=cfg.population_size,
         generations=cfg.generations,
-        crossover=replace(cfg.crossover, kind=cell.operator),
-        mutation=replace(cfg.mutation, kind=cell.mutation, per_gene_rate=rate / cfg.dimension),
+        crossover=replace(cfg.crossover, kind=CrossoverKind(cell["operator"])),
+        mutation=replace(cfg.mutation, kind=MutationKind(cell["mutation"]), per_gene_rate=rate / cfg.dimension),
         selection_k=cfg.selection_k,
-        seed=cfg.seed + cell.index * cfg.runs + run_index,
+        seed=cfg.seed + cell["index"] * cfg.runs + run_index,
         elitism=cfg.elitism,
     )
 
@@ -325,7 +314,7 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(workers)
 
 
-def _run_cells(cfg: ExperimentConfig, cells: Sequence[Cell]) -> Iterator[tuple[Cell, list[RunTrace] | str]]:
+def _run_cells(cfg: ExperimentConfig, cells: Sequence[dict]) -> Iterator[tuple[dict, list[RunTrace] | str]]:
     """Execute runs x cells; yields ``(cell, list[RunTrace] | error str)`` in
     cell order, each as soon as the cell's last run is in.
 
@@ -426,15 +415,15 @@ def _find_bad_line(path: Path) -> Optional[str]:
     return None
 
 
-def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], statuses: dict[int, str]) -> dict:
+def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[dict], statuses: dict[int, str]) -> dict:
     """The manifest of a bundle; its grid axes are those of ``cells``, in order."""
     return {
         "format": "rcga-bundle-v1",
         "kind": kind,
         "name": cfg.name,
-        "problems": list(dict.fromkeys(c.problem for c in cells)),
-        "operators": list(dict.fromkeys(c.operator.value for c in cells)),
-        "mutations": list(dict.fromkeys(c.mutation.value for c in cells)),
+        "problems": list(dict.fromkeys(c["problem"] for c in cells)),
+        "operators": list(dict.fromkeys(c["operator"] for c in cells)),
+        "mutations": list(dict.fromkeys(c["mutation"] for c in cells)),
         "mutation_rates": list(cfg.mutation_rates) if kind == "sweep" else None,
         "dimension": cfg.dimension,
         "population_size": cfg.population_size,
@@ -444,42 +433,24 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell], s
         "mutation_rate": None if kind == "sweep" else cfg.mutation_rate,
         "master_seed": cfg.seed,
         "alpha": cfg.alpha,
-        "cells": [
-            {
-                "index": c.index,
-                "problem": c.problem,
-                "operator": c.operator.value,
-                "mutation": c.mutation.value,
-                "rate": c.rate,
-                "label": c.label,
-                "file": c.filename,
-                "status": statuses[c.index],
-            }
-            for c in cells
-        ],
+        "cells": [{**c, "status": statuses[c["index"]]} for c in cells],
     }
 
 
-def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[Cell]) -> Path:
+def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> Path:
     """Write each cell's trace CSV as the cell finishes, then the manifest."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     statuses = {}
     for cell, payload in _run_cells(cfg, cells):
         if isinstance(payload, str):
-            statuses[cell.index] = f"failed: {payload}"
+            statuses[cell["index"]] = f"failed: {payload}"
         else:
-            _write_trace_csv(out / cell.filename, payload)
-            statuses[cell.index] = "ok"
+            _write_trace_csv(out / cell["file"], payload)
+            statuses[cell["index"]] = "ok"
     manifest = _manifest_payload(cfg, kind, cells, statuses)
     _write_text(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
-
-
-def experiment_cells(problems, operators, mutations, rates=(None,)) -> list[Cell]:
-    """The grid's cells in ``itertools.product`` order, indexed from 0; a sweep passes its rates."""
-    grid = itertools.product(problems, operators, mutations, rates)
-    return [Cell(index, *axes) for index, axes in enumerate(grid)]
 
 
 def run_experiment(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
@@ -521,15 +492,20 @@ def _file_sha256(path: Path) -> bytes:
 def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[bytes, _Reduction]]:
     """``(sha256, (finals, (mean, std)))`` of one manifest cell's trace file,
     runs in run-id order: the read side's only path from a trace file to
-    numbers. None if the trace is empty or its runs differ in length.
-    Module-level, so a process pool can run it."""
+    numbers. None if the trace is empty or its runs differ in length; a
+    ``ValueError`` if the file's bytes change while it is parsed, so a digest
+    row always holds the numbers of the bytes its key hashes. Module-level, so
+    a process pool can run it."""
     path = Path(bundle_dir) / cell["file"]
+    sha = _file_sha256(path)
     runs = read_trace_csv(path)
+    if _file_sha256(path) != sha:
+        raise ValueError(f"{path}: the file changed while it was read")
     if not runs or len({curve.size for curve in runs.values()}) > 1:
         return None
     curves = np.vstack([runs[r] for r in sorted(runs)])
     # A view of the last column would keep the whole matrix alive.
-    return _file_sha256(path), (curves[:, -1].copy(), summarize(curves))
+    return sha, (curves[:, -1].copy(), summarize(curves))
 
 
 def _reduce_cells(
@@ -777,16 +753,15 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
     cfg = parse_config(config_path, overrides, defaults=SWEEP_DEFAULTS)
     cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
     out = _persist_bundle(cfg, "sweep", cells)
-    manifest = load_manifest(out)
+    cells = load_manifest(out)["cells"]  # the same records, with their statuses
 
     lines = ["rate,problem,mean,std"]
     per_problem: dict[int, list[tuple[float, float, float]]] = {}
-    for cell in manifest["cells"]:
-        finals = final_bests(out, cell)
-        if finals is None:
+    for cell, reduced in zip(cells, _reduce_cells(out, cells, {}, 1)):
+        if reduced is None:
             lines.append(f"{format_sci(cell['rate'])},{cell['problem']},-,-")
             continue
-        mean, std = summarize(finals)
+        mean, std = summarize(reduced[1][0])
         lines.append(f"{format_sci(cell['rate'])},{cell['problem']},{format_sci(mean)},{format_sci(std)}")
         per_problem.setdefault(cell["problem"], []).append((cell["rate"], mean, std))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from rcga.cli import main
 from rcga.engine import RunTrace
 from rcga.experiment import (
     CURVES_NAME,
-    Cell,
     _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -58,6 +58,22 @@ def write_config(path: Path, **overrides) -> Path:
     lines = [f"{k} = {v}" for k, v in base.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def fail_problem(monkeypatch, problem: int) -> None:
+    """Make every evaluation of ``problem`` raise, in this process only."""
+    real = experiment.benchmarks.batch_eval
+
+    def flaky(problem_id, X, rng=None):
+        if problem_id == problem:
+            raise RuntimeError("synthetic evaluation failure")
+        return real(problem_id, X, rng=rng)
+
+    monkeypatch.setattr("rcga.engine.benchmarks.batch_eval", flaky)
+
+
+def manifest_sha256(bundle: Path) -> str:
+    return hashlib.sha256((bundle / "manifest.json").read_bytes()).hexdigest()
 
 
 # Per operator key: a valid non-default value, then a value the config must reject.
@@ -234,15 +250,14 @@ class TestParseConfig:
 class TestSeedDerivation:
     def test_cell_run_seeds_are_disjoint_ladder(self):
         cfg = ExperimentConfig(name="x", problems=(9, 6), runs=5, seed=100, dimension=4)
-        c0 = Cell(index=0, problem=9, operator=CrossoverKind.AX, mutation=MutationKind.GM)
-        c1 = Cell(index=1, problem=6, operator=CrossoverKind.AX, mutation=MutationKind.GM)
+        c0, c1 = experiment_cells((9, 6), (CrossoverKind.AX,), (MutationKind.GM,))
         assert ga_config_for(cfg, c0, 0).seed == 100
         assert ga_config_for(cfg, c0, 4).seed == 104
         assert ga_config_for(cfg, c1, 0).seed == 105
 
     def test_mutation_rate_maps_to_per_gene(self):
         cfg = ExperimentConfig(name="x", problems=(9,), dimension=30, mutation_rate=0.1)
-        cell = Cell(index=0, problem=9, operator=CrossoverKind.PSOX, mutation=MutationKind.GM)
+        [cell] = experiment_cells((9,), (CrossoverKind.PSOX,), (MutationKind.GM,))
         ga = ga_config_for(cfg, cell, 0)
         assert ga.mutation.per_gene_rate == pytest.approx(0.1 / 30)
 
@@ -284,6 +299,13 @@ class TestRunExperiment:
         par = run_experiment(write_config(tmp_path / "b.cfg", output_dir=tmp_path / "par", workers=2))
         for f in sorted(seq.glob("*.csv")):
             assert f.read_bytes() == (par / f.name).read_bytes()
+
+    def test_manifest_bytes_with_a_failed_cell_are_pinned(self, tmp_path, monkeypatch):
+        fail_problem(monkeypatch, 6)
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", problems="9, 6"))
+        failed = "failed: run 1: synthetic evaluation failure"
+        assert [c["status"] for c in load_manifest(bundle)["cells"]] == ["ok", "ok", failed, failed]
+        assert manifest_sha256(bundle) == "6cb62a62820d0e060fde953b6e28d8b55725d7fab2192ae214f2193ab93a3803"
 
 
 def trace(values) -> RunTrace:
@@ -793,6 +815,29 @@ class TestCurveDigest:
         for key in current:
             np.testing.assert_array_equal(rebuilt[key], current[key])
 
+    def test_trace_rewritten_while_it_is_parsed_leaves_no_stale_row(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        target = bundle / load_manifest(bundle)["cells"][0]["file"]
+        parsed = self.count_parses(monkeypatch)
+        counting = experiment.read_trace_csv
+
+        def racing(path):
+            runs = counting(path)
+            if Path(path) == target and parsed.count(path) == 1:  # another process rewrites it once
+                self.flip_exponent_signs(bundle)
+            return runs
+
+        monkeypatch.setattr(experiment, "read_trace_csv", racing)
+        with pytest.raises(ValueError, match=re.escape(f"{target}: the file changed while it was read")):
+            analyze(bundle)
+        assert not (bundle / CURVES_NAME).exists()
+        analyze(bundle)
+        analyze(bundle)
+        warm = self.tables(bundle)
+        (bundle / CURVES_NAME).unlink()
+        analyze(bundle)
+        assert warm == self.tables(bundle)
+
     @pytest.mark.parametrize("options", [{"control_label": "AX"}, {"alpha": 0.2}, {"sig_figs": 2}])
     def test_warm_tables_equal_cold_ones(self, tmp_path, options):
         bundle = write_bundle(tmp_path / "b", planted_finals((1, 2, 3)))
@@ -895,6 +940,13 @@ class TestSweep:
         assert manifest["mutation_rates"] == [0.1, 0.5, 1.0]
         assert manifest["mutation_rate"] is None
 
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        bundle = mutation_sweep(cfg)
+        assert [c["file"] for c in load_manifest(bundle)["cells"]][:2] == [
+            "trace_p09_PSOX_GM_rate0.1.csv", "trace_p09_PSOX_GM_rate1.csv"]
+        assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+
     def test_sweep_defaults_applied(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text(
@@ -924,14 +976,7 @@ class TestCli:
         assert len((bundle / "sweep.csv").read_text().splitlines()) == 5  # header + 2 rates x 2 problems
 
     def test_sweep_command_with_a_failed_problem(self, tmp_path, monkeypatch):
-        real = experiment.benchmarks.batch_eval
-
-        def flaky(problem_id, X, rng=None):
-            if problem_id == 6:
-                raise RuntimeError("synthetic evaluation failure")
-            return real(problem_id, X, rng=rng)
-
-        monkeypatch.setattr("rcga.engine.benchmarks.batch_eval", flaky)
+        fail_problem(monkeypatch, 6)
         cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
         assert main(["sweep", str(cfg)]) == 0
         bundle = tmp_path / "bundle"
