@@ -11,9 +11,11 @@ Subcommands:
 finish, and the bundle manifest at the end. Worker count comes from the
 config's ``workers`` key, overridden by the RCGA_WORKERS environment
 variable; both take an integer >= 0, where 0 means the logical CPU count.
-``analyze`` parses only the trace files whose bytes no row of the bundle's
-``curves.npz`` digest matches, with the same count (RCGA_WORKERS, else the
-CPU count); its tables depend on neither. ``plot`` reads the same digest.
+``analyze`` and ``plot`` use the same count (RCGA_WORKERS, else the CPU
+count): as threads that hash the trace files against the bundle's
+``curves.npz`` digest, and as processes that parse the files no digest row
+matches; their outputs depend on neither. ``sweep`` reads its traces back
+with the count its runs used.
 ``analyze`` refuses a sweep bundle, whose table is ``sweep.csv``.
 Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 """
@@ -65,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="mutation-rate sweep with the PSOX-GM configuration")
     p_sweep.add_argument("config", type=Path)
     p_sweep.add_argument("--scale", choices=["paper", "desk"],
-                         help="set the config's scale key; the file's keys and the sweep's defaults still win")
+                         help="set the config's scale key; it replaces the sweep's defaults; the file's keys still win")
     p_sweep.add_argument("--output-dir", type=Path)
     p_sweep.set_defaults(handler=_cmd_sweep)
 

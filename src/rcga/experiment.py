@@ -204,14 +204,14 @@ def parse_config(
 ) -> ExperimentConfig:
     """Read a flat key=value config file into an ExperimentConfig.
 
-    ``defaults`` fill keys the file leaves unset; ``overrides`` (e.g. from CLI
-    flags) are applied after the file. A ``scale`` entry expands to its
-    population/generations/runs preset before explicit keys are applied.
+    Keys are applied in the order: ``defaults``, then the population,
+    generations and runs preset of a ``scale`` entry, then the file's keys,
+    then ``overrides`` (e.g. from CLI flags); a later source wins.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: config file not found")
-    raw: dict[str, str] = {k.lower(): str(v) for k, v in (defaults or {}).items()}
+    raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -222,15 +222,14 @@ def parse_config(
         raw[key.strip().lower()] = value.split("#", 1)[0].strip()
     if overrides:
         raw.update({k.lower(): str(v) for k, v in overrides.items() if v is not None})
+    scale = raw.pop("scale", None)
+    if scale is not None and scale not in SCALE_PRESETS:
+        raise ConfigError(f"{path}: scale: must be one of {sorted(SCALE_PRESETS)}, got {scale!r}")
+    preset = dict(zip(("population_size", "generations", "runs"), SCALE_PRESETS[scale])) if scale else {}
+    raw = {**{k.lower(): str(v) for k, v in (defaults or {}).items()}, **preset, **raw}
 
     values: dict[str, dict] = {"experiment": {"name": raw.pop("name", path.stem)}, "crossover": {}, "mutation": {}}
     experiment = values["experiment"]
-
-    scale = raw.pop("scale", None)
-    if scale is not None:
-        if scale not in SCALE_PRESETS:
-            raise ConfigError(f"{path}: scale: must be one of {sorted(SCALE_PRESETS)}, got {scale!r}")
-        experiment["population_size"], experiment["generations"], experiment["runs"] = SCALE_PRESETS[scale]
 
     def fail(key: str, message: str):
         raise ConfigError(f"{path}: {key}: {message}")
@@ -489,15 +488,14 @@ def _file_sha256(path: Path) -> bytes:
     return sha.digest()
 
 
-def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[bytes, _Reduction]]:
+def _reduce_cell(bundle_dir: Path, cell: dict, sha: bytes) -> Optional[tuple[bytes, _Reduction]]:
     """``(sha256, (finals, (mean, std)))`` of one manifest cell's trace file,
     runs in run-id order: the read side's only path from a trace file to
     numbers. None if the trace is empty or its runs differ in length; a
-    ``ValueError`` if the file's bytes change while it is parsed, so a digest
-    row always holds the numbers of the bytes its key hashes. Module-level, so
-    a process pool can run it."""
+    ``ValueError`` if it no longer hashes to ``sha``, its hash before the
+    parse, so a digest row always holds the numbers of the bytes its key
+    hashes. Module-level for a process pool."""
     path = Path(bundle_dir) / cell["file"]
-    sha = _file_sha256(path)
     runs = read_trace_csv(path)
     if _file_sha256(path) != sha:
         raise ValueError(f"{path}: the file changed while it was read")
@@ -508,31 +506,48 @@ def _reduce_cell(bundle_dir: Path, cell: dict) -> Optional[tuple[bytes, _Reducti
     return sha, (curves[:, -1].copy(), summarize(curves))
 
 
+def _hash_files(paths: Sequence[Path], workers: int) -> list[bytes]:
+    """``_file_sha256`` of each path, in order. The paths are split into one
+    contiguous part per worker: the calling thread hashes the first and one
+    thread each the others, since hashlib releases the GIL while it hashes."""
+    n = min(workers, len(paths))
+    if n <= 1:
+        return list(map(_file_sha256, paths))
+    from concurrent.futures import ThreadPoolExecutor
+
+    parts = [paths[k * len(paths) // n:(k + 1) * len(paths) // n] for k in range(n)]
+    with ThreadPoolExecutor(n - 1) as threads:
+        rest = threads.map(lambda part: list(map(_file_sha256, part)), parts[1:])
+        return list(map(_file_sha256, parts[0])) + [sha for part in rest for sha in part]
+
+
 def _reduce_cells(
-    bundle_dir: Path, cells: Sequence[dict], digest: Mapping[bytes, _Reduction], workers: int
+    bundle_dir: Path, cells: Sequence[dict], digest: Mapping[bytes, _Reduction], workers: int = 0
 ) -> list[Optional[tuple[bytes, _Reduction]]]:
     """``_reduce_cell`` of each cell, in order; None for a cell that is not
-    ``ok`` or whose trace is missing. A trace that hashes to a ``digest`` row
-    is taken from it; only the others are parsed, in a pool of up to
-    ``workers`` processes when more than one is."""
+    ``ok`` or whose trace is missing. Each usable trace is hashed on
+    ``resolve_workers(workers)`` threads; one that hashes to a ``digest`` row
+    is taken from it, and only the others are parsed, in a pool of that many
+    processes when more than one is."""
+    workers = resolve_workers(workers)
+    usable = [i for i, cell in enumerate(cells) if cell["status"] == "ok" and (bundle_dir / cell["file"]).is_file()]
+    shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], workers)
     reduced: list[Optional[tuple[bytes, _Reduction]]] = [None] * len(cells)
-    missed = []
-    for i, cell in enumerate(cells):
-        path = bundle_dir / cell["file"]
-        if cell["status"] != "ok" or not path.is_file():
-            continue
-        if digest and (sha := _file_sha256(path)) in digest:
+    missed, before = [], []
+    for i, sha in zip(usable, shas):
+        if sha in digest:
             reduced[i] = sha, digest[sha]
         else:
             missed.append(i)
+            before.append(sha)
     reduce_cell = partial(_reduce_cell, bundle_dir)
     todo = [cells[i] for i in missed]
     workers = min(workers, len(todo))
     if workers <= 1:
-        parsed = map(reduce_cell, todo)
+        parsed = map(reduce_cell, todo, before)
     else:  # a few chunks per worker: one future per cell costs more than it balances
         with _process_pool(workers) as pool:
-            parsed = list(pool.map(reduce_cell, todo, chunksize=max(1, len(todo) // (4 * workers))))
+            parsed = list(pool.map(reduce_cell, todo, before, chunksize=max(1, len(todo) // (4 * workers))))
     for i, r in zip(missed, parsed):
         reduced[i] = r
     return reduced
@@ -540,7 +555,7 @@ def _reduce_cells(
 
 def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
     """Final best objective per run for one ok cell, or None if unusable."""
-    [reduced] = _reduce_cells(Path(bundle_dir), [cell], {}, 1)
+    [reduced] = _reduce_cells(Path(bundle_dir), [cell], {})
     return None if reduced is None else reduced[1][0]
 
 
@@ -607,11 +622,12 @@ def analyze(
     raises ``ConfigError`` before anything is written.
 
     A cell whose trace file still hashes to a row of the curve digest
-    ``curves.npz`` is taken from that row; only the other traces are parsed
-    and reduced, with as many worker processes as ``run`` uses
-    (``RCGA_WORKERS``, else the CPU count) when more than one is. The digest
-    is rewritten, for ``plot_convergence`` and the next ``analyze``, when its
-    set of keys changed. The statistics and every written byte depend neither
+    ``curves.npz`` is taken from that row. The traces are hashed on as many
+    threads as ``run`` uses worker processes (``RCGA_WORKERS``, else the CPU
+    count), and the others are parsed and reduced in a pool of that many
+    processes when more than one is. The digest is rewritten, for
+    ``plot_convergence`` and the next ``analyze``, when its set of keys
+    changed. The statistics and every written byte depend neither
     on the worker count nor on whether the digest was there.
     """
     bundle_dir = Path(bundle_dir)
@@ -636,7 +652,7 @@ def analyze(
 
     digest_path = bundle_dir / CURVES_NAME
     stored = _load_curve_digest(digest_path)
-    reduced = _reduce_cells(bundle_dir, cells, stored, resolve_workers(0))
+    reduced = _reduce_cells(bundle_dir, cells, stored)
     digest = dict(r for r in reduced if r is not None)
     analyses: list[ProblemAnalysis] = []
     for problem in problems:
@@ -713,7 +729,8 @@ def plot_convergence(
     """One SVG panel per problem: mean best-so-far vs generation, +/-1 std band.
 
     A cell whose trace file hashes to a row of the curve digest ``analyze``
-    left is drawn from that row; any other cell's trace is parsed.
+    left is drawn from that row; any other cell's trace is parsed. Both go
+    through ``analyze``'s hashing threads and parsing processes.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -722,7 +739,7 @@ def plot_convergence(
     available = sorted({c["problem"] for c in manifest["cells"]})
     wanted = list(problems) if problems else available
     cells = [c for c in manifest["cells"] if c["problem"] in wanted]
-    reduced = _reduce_cells(bundle_dir, cells, _load_curve_digest(bundle_dir / CURVES_NAME), 1)
+    reduced = _reduce_cells(bundle_dir, cells, _load_curve_digest(bundle_dir / CURVES_NAME))
 
     written: list[Path] = []
     for problem in wanted:
@@ -757,7 +774,7 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
 
     lines = ["rate,problem,mean,std"]
     per_problem: dict[int, list[tuple[float, float, float]]] = {}
-    for cell, reduced in zip(cells, _reduce_cells(out, cells, {}, 1)):
+    for cell, reduced in zip(cells, _reduce_cells(out, cells, {}, cfg.workers)):
         if reduced is None:
             lines.append(f"{format_sci(cell['rate'])},{cell['problem']},-,-")
             continue

@@ -16,6 +16,7 @@ from rcga.cli import main
 from rcga.engine import RunTrace
 from rcga.experiment import (
     CURVES_NAME,
+    SWEEP_DEFAULTS,
     _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -130,6 +131,20 @@ class TestParseConfig:
         path.write_text(stripped + "\n")
         cfg = parse_config(path)
         assert (cfg.population_size, cfg.generations, cfg.runs) == (100, 300, 10)
+
+    @pytest.mark.parametrize("scale, sizes", [("paper", (300, 1000, 30)), ("desk", (100, 300, 10))])
+    def test_scale_preset_wins_over_the_sweep_defaults(self, tmp_path, scale, sizes):
+        path = tmp_path / "s.cfg"
+        path.write_text("name = s\nproblems = 9\nmutation_rates = 0.1, 1.0\n")
+        cfg = parse_config(path, {"scale": scale}, defaults=SWEEP_DEFAULTS)
+        assert (cfg.population_size, cfg.generations, cfg.runs) == sizes
+        assert (parse_config(path, defaults=SWEEP_DEFAULTS).generations, cfg.problems) == (100, (9,))
+        # A key the file sets still wins over the preset, and an override over both.
+        path.write_text(path.read_text() + "generations = 7\nruns = 4\n")
+        cfg = parse_config(path, {"scale": scale}, defaults=SWEEP_DEFAULTS)
+        assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 4)
+        cfg = parse_config(path, {"scale": scale, "runs": 2}, defaults=SWEEP_DEFAULTS)
+        assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 2)
 
     def test_operator_aliases(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "a.cfg", operators="LX, BLX-alpha"))
@@ -642,9 +657,9 @@ class TestCurveDigest:
         return [(bundle / name).read_bytes() for name in ("summary.csv", "dunnett.csv")]
 
     @staticmethod
-    def flip_exponent_signs(bundle: Path) -> None:
-        """Rewrite the first cell's trace at the same size with other values."""
-        path = bundle / load_manifest(bundle)["cells"][0]["file"]
+    def flip_exponent_signs(bundle: Path, index: int = 0) -> None:
+        """Rewrite one cell's trace, the first by default, at the same size with other values."""
+        path = bundle / load_manifest(bundle)["cells"][index]["file"]
         old = path.read_bytes()
         header, body = old.split(b"\n", 1)
         path.write_bytes(header + b"\n" + body.translate(bytes.maketrans(b"+-", b"-+")))
@@ -658,6 +673,15 @@ class TestCurveDigest:
         monkeypatch.setattr(experiment, "read_trace_csv", lambda path: parsed.append(path) or real(path))
         monkeypatch.setenv("RCGA_WORKERS", "1")
         return parsed
+
+    @staticmethod
+    def count_hashes(monkeypatch) -> list:
+        """The file names ``_file_sha256`` is called with, in this process only."""
+        hashed = []
+        real = experiment._file_sha256
+        monkeypatch.setattr(experiment, "_file_sha256", lambda path: hashed.append(Path(path).name) or real(path))
+        monkeypatch.setenv("RCGA_WORKERS", "1")
+        return hashed
 
     def test_plot_from_digest_is_byte_identical(self, tmp_path):
         bundle = self.bundle(tmp_path)
@@ -731,6 +755,29 @@ class TestCurveDigest:
         plot_convergence(bundle)
         files = [c["file"] for c in load_manifest(bundle)["cells"]]
         assert sorted(parsed) == sorted(files) and len(files) == 4
+
+    def test_a_parsed_trace_is_hashed_before_and_after_its_parse_only(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        files = sorted(c["file"] for c in load_manifest(bundle)["cells"])
+        hashed = self.count_hashes(monkeypatch)
+        analyze(bundle)  # no digest: no lookup, one hash before and one after each parse
+        assert sorted(hashed) == sorted(files * 2)
+        self.flip_exponent_signs(bundle)
+        hashed.clear()
+        analyze(bundle)  # the lookup hash of the rewritten trace is the one before its parse
+        assert len(hashed) == 5 and hashed.count(load_manifest(bundle)["cells"][0]["file"]) == 2
+        assert sorted(set(hashed)) == files
+
+    def test_warm_analyze_and_plot_hash_each_trace_once(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        files = sorted(c["file"] for c in load_manifest(bundle)["cells"])
+        hashed = self.count_hashes(monkeypatch)
+        analyze(bundle)
+        assert sorted(hashed) == files
+        hashed.clear()
+        plot_convergence(bundle)
+        assert sorted(hashed) == files
 
     def test_keys_with_trailing_nul_bytes_round_trip(self, tmp_path):
         rows = {bytes(31) + b"\x01": (np.array([2.0, np.inf]), (np.arange(3.0), np.ones(3))),
@@ -873,18 +920,59 @@ class TestAnalyzeWorkers:
         for workers in ("1", "2"):
             monkeypatch.setenv("RCGA_WORKERS", workers)
             copy = shutil.copytree(bundle, tmp_path / f"workers-{workers}")
+            plot_convergence(copy, output=copy / "cold")  # an unanalysed bundle: every trace parsed
             analyze(copy)
+            cold = TestCurveDigest.tables(copy) + [(copy / CURVES_NAME).read_bytes()]
+            analyze(copy)
+            assert TestCurveDigest.tables(copy) + [(copy / CURVES_NAME).read_bytes()] == cold
             plot_convergence(copy)
             with np.load(copy / CURVES_NAME) as npz:
                 arrays = dict(npz)
             files = {p.name: p.read_bytes() for p in copy.iterdir() if p.suffix in (".csv", ".svg")}
+            assert {p.name: p.read_bytes() for p in (copy / "cold").iterdir()} == \
+                {name: data for name, data in files.items() if name.endswith(".svg")}
             outputs[workers] = files, arrays
-        assert pools == [2]
+        assert pools == [2, 2]
         (files_1, arrays_1), (files_2, arrays_2) = outputs["1"], outputs["2"]
         assert files_1 == files_2 and {"summary.csv", "dunnett.csv", "convergence_p09.svg"} <= set(files_1)
         assert arrays_1.keys() == arrays_2.keys() == {"sha", "finals", "mean", "std"}
         for key in arrays_1:
             np.testing.assert_array_equal(arrays_1[key], arrays_2[key])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_warm_traces_are_hashed_once_and_in_cell_order(self, tmp_path, monkeypatch, workers):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        tables = TestCurveDigest.tables(bundle)
+        paths = [bundle / c["file"] for c in load_manifest(bundle)["cells"]]
+        hashed = []
+        real = experiment._file_sha256
+        monkeypatch.setattr(experiment, "_file_sha256", lambda path: hashed.append(Path(path).name) or real(path))
+        assert experiment._hash_files(paths, workers) == list(map(real, paths)) and len(paths) == 12
+        assert sorted(hashed) == sorted(p.name for p in paths)
+        hashed.clear()
+        monkeypatch.setenv("RCGA_WORKERS", str(workers))
+        analyze(bundle)
+        assert sorted(hashed) == sorted(p.name for p in paths)
+        assert TestCurveDigest.tables(bundle) == tables
+
+    def test_same_size_rewrite_in_a_helper_threads_part_is_parsed_again(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        parsed = TestCurveDigest.count_parses(monkeypatch)
+        monkeypatch.setenv("RCGA_WORKERS", "2")
+        analyze(bundle)
+        svgs = {p.name: p.read_bytes() for p in plot_convergence(bundle, output=tmp_path / "before")}
+        TestCurveDigest.flip_exponent_signs(bundle, -1)  # the second half of the cells is a helper thread's
+        parsed.clear()
+        analyze(bundle)
+        assert parsed == [bundle / load_manifest(bundle)["cells"][-1]["file"]]
+        warm = TestCurveDigest.tables(bundle)
+        drawn = {p.name: p.read_bytes() for p in plot_convergence(bundle, output=tmp_path / "after")}
+        assert drawn != svgs
+        (bundle / CURVES_NAME).unlink()
+        analyze(bundle)
+        assert TestCurveDigest.tables(bundle) == warm
+        assert {p.name: p.read_bytes() for p in plot_convergence(bundle, output=tmp_path / "cold")} == drawn
 
     def test_malformed_trace_raises_the_same_error_from_the_pool(self, tmp_path, monkeypatch):
         bundle = self.bundle(tmp_path)
@@ -945,6 +1033,18 @@ class TestSweep:
         bundle = mutation_sweep(cfg)
         assert [c["file"] for c in load_manifest(bundle)["cells"]][:2] == [
             "trace_p09_PSOX_GM_rate0.1.csv", "trace_p09_PSOX_GM_rate1.csv"]
+        assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+
+    @pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2, 2])])
+    def test_traces_are_read_with_the_count_the_runs_use(self, tmp_path, monkeypatch, workers, pools):
+        started = []
+        start_pool = experiment._process_pool
+        monkeypatch.setattr(experiment, "_process_pool", lambda n: started.append(n) or start_pool(n))
+        monkeypatch.delenv("RCGA_WORKERS", raising=False)
+        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4",
+                           runs="2", workers=workers)
+        bundle = mutation_sweep(cfg)
+        assert started == pools  # the runs, then the parse of their traces
         assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
 
     def test_sweep_defaults_applied(self, tmp_path):
@@ -1009,6 +1109,14 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path / "a.cfg", workers=workers))]) == 2
         assert message in capsys.readouterr().err
         assert not list((tmp_path / "bundle").glob("*"))
+
+    def test_bad_worker_count_exits_2_from_plot(self, tmp_path, capsys, monkeypatch):
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
+        before = sorted(bundle.iterdir())
+        monkeypatch.setenv("RCGA_WORKERS", "-2")
+        assert main(["plot", str(bundle)]) == 2
+        assert "RCGA_WORKERS: must be an integer >= 0, got '-2'" in capsys.readouterr().err
+        assert sorted(bundle.iterdir()) == before
 
     def test_bad_worker_count_exits_2_from_analyze(self, tmp_path, capsys, monkeypatch):
         bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
