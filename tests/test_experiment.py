@@ -94,6 +94,36 @@ OPERATOR_VALUES = {
 OPERATOR_KEYS = sorted(key for key, (target, _) in _CONFIG_KEYS.items() if target != "experiment")
 
 
+# SHA-256 of each trace CSV of a problem 5 (chained) and 12 (noisy) x six operators x NUM/GM grid at
+# n = 6, an odd population of 9 (SBX and LX drop a child), 5 generations, 2 runs and mutation_rate 1.0.
+PINNED_TRACES = {
+    "trace_p05_AX_GM.csv": "ffece0cc1ad39a7fc6f4b91521b1817eec9e09f603fa0362773694ae5af109b3",
+    "trace_p05_AX_NUM.csv": "61316cd6702a7c15e8e7912195f85a9d3fa755eea49c79f4465968a37963eba0",
+    "trace_p05_BLX_ALPHA_GM.csv": "e93711ff59a03c9119db7fe437ad356f9faca85efadf9b091589e4b46346d5e5",
+    "trace_p05_BLX_ALPHA_NUM.csv": "eda856ea4df6db4f17ec695a24eec115ade3313ca704c154bfa6be856ee05cc8",
+    "trace_p05_FX_GM.csv": "87639e80255d69fdd0ac756fd4c456d240f3d3d042237cdc85b451d1e8cfdcb9",
+    "trace_p05_FX_NUM.csv": "14ae27890a4bac25f6c78372513104e3ee20faf5c0ad50b514fc3a728f50a480",
+    "trace_p05_LAPLACE_GM.csv": "f9757210c213bc512eea0c6ba10ab38c151a91665213360eee4a27b8d7b2918c",
+    "trace_p05_LAPLACE_NUM.csv": "0d751332166d80c1906b7f19ed02bf80dac4020febeb6736cd7ecf958f44b301",
+    "trace_p05_PSOX_GM.csv": "8d892ea041e3c6a0e8915bb7e88fd3e899fea9d9bbdd382399d8c6ab8fc32c49",
+    "trace_p05_PSOX_NUM.csv": "9dbf8a4aefafe8182b0d52997170b284b01ee1342a94e61d4e03e8ca255df10b",
+    "trace_p05_SBX_GM.csv": "5dcd8b3ffb2a57168d03b075923ef9fa5325863cf388e65a023f0b6fc936a823",
+    "trace_p05_SBX_NUM.csv": "e9eb2ff6a06b05b1548e6198e0f8580adfa613ee04ad220e5bc34daf9d60e9c9",
+    "trace_p12_AX_GM.csv": "387df4cf10cd486fc521209fd163544940665fccf524b0fc9ace181475b9d9ee",
+    "trace_p12_AX_NUM.csv": "39dc84c9892f2583d9374c4b8f7d308a49af134a5768485cdd9e9ffd5528e977",
+    "trace_p12_BLX_ALPHA_GM.csv": "9098f022d19d77eb3bb57b7e91bf40c7bb42f8973df87822dd8fa020ad1174bb",
+    "trace_p12_BLX_ALPHA_NUM.csv": "61443e64bfb5162648ba9c3bbf41c4abaacd0de6f96011db01409b28cb3e7bcb",
+    "trace_p12_FX_GM.csv": "c778cb680a9ab0d77159a1501d2a17b645b0ce9ce38fe06974267ef027cd4134",
+    "trace_p12_FX_NUM.csv": "1077fbaa6c69940df3a57d8977f7041ee0d87eb3369d6501772aae68c5efe6ad",
+    "trace_p12_LAPLACE_GM.csv": "8e4f429b3a582c2dfc28564e2ac6c072d35bcafc21f50d9a950336d6853cf58a",
+    "trace_p12_LAPLACE_NUM.csv": "38140eee085c67d4571149439c846b1697e70c7410269a698a62a578c0e7ae07",
+    "trace_p12_PSOX_GM.csv": "73337ec50ffe79718bca607e635c23b5a68d4155459e8ddbcc0174039a46377e",
+    "trace_p12_PSOX_NUM.csv": "b4ea605735497ad52b6d054157a7a059bc8c9d21f2274247660a703cb3accf6e",
+    "trace_p12_SBX_GM.csv": "96b6c5820631f9f738602af8bbee31d20e02f7bbbfffd33ede74156be6694a9b",
+    "trace_p12_SBX_NUM.csv": "5e80296ffbd5c82d3e3a7932ead037b4382a2a0b9a28bf4f55d1290280d5e5e9",
+}
+
+
 class TestFormat:
     def test_six_significant_digits(self):
         assert format_sci(123456.789) == "1.23457E+05"
@@ -321,6 +351,13 @@ class TestRunExperiment:
         failed = "failed: run 1: synthetic evaluation failure"
         assert [c["status"] for c in load_manifest(bundle)["cells"]] == ["ok", "ok", failed, failed]
         assert manifest_sha256(bundle) == "6cb62a62820d0e060fde953b6e28d8b55725d7fab2192ae214f2193ab93a3803"
+
+    def test_trace_bytes_are_pinned(self, tmp_path):
+        bundle = run_experiment(write_config(
+            tmp_path / "a.cfg", problems="5, 12", operators="AX, FX, BLX_ALPHA, SBX, LAPLACE, PSOX",
+            mutations="NUM, GM", dimension=6, population_size=9, generations=5, runs=2, mutation_rate=1.0))
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in bundle.glob("trace_*.csv")}
+        assert written == PINNED_TRACES
 
 
 def trace(values) -> RunTrace:
@@ -1034,6 +1071,8 @@ class TestSweep:
         assert [c["file"] for c in load_manifest(bundle)["cells"]][:2] == [
             "trace_p09_PSOX_GM_rate0.1.csv", "trace_p09_PSOX_GM_rate1.csv"]
         assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+        sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
+        assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
     @pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2, 2])])
     def test_traces_are_read_with_the_count_the_runs_use(self, tmp_path, monkeypatch, workers, pools):
