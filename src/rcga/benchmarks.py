@@ -6,11 +6,12 @@ single chromosome is evaluated as a one-row matrix. All problems are
 minimization. Problem 12 is noisy and must be given the
 calling run's RNG stream.
 
-Three registered optima deviate from folklore claims that place every minimum
-at the origin: direct evaluation shows Rosenbrock is minimized at the all-ones
-vector, Levy-Montalvo 1 at the all-minus-ones vector, and Levy-Montalvo 2 at
-the all-ones vector (the origin gives n-1, ~0.96 and n respectively). The
-registry records the corrected locations.
+Each problem's box and minimizer repeat one interval and one coordinate on
+every gene, so the registry stores them as constants. Three registered optima
+deviate from folklore claims that place every minimum at the origin: direct
+evaluation shows Rosenbrock is minimized at the all-ones vector, Levy-Montalvo
+1 at the all-minus-ones vector, and Levy-Montalvo 2 at the all-ones vector
+(the origin gives n-1, ~0.96 and n respectively).
 
 The penalized functions (problems 14 and 15) add the box penalty
 ``_penalty_sum(X, 10.0, 100.0)``, which starts at |x| = 10 and so lies
@@ -120,18 +121,6 @@ def _penalized_2(X):
     return _levy_montalvo_2(X) + _penalty_sum(X, 10.0, 100.0)
 
 
-def _zeros(n):
-    return np.zeros(n)
-
-
-def _ones(n):
-    return np.ones(n)
-
-
-def _minus_ones(n):
-    return -np.ones(n)
-
-
 @dataclass(frozen=True)
 class BenchmarkEntry:
     problem_id: int
@@ -139,32 +128,30 @@ class BenchmarkEntry:
     evaluator: Callable
     lower: float
     upper: float
-    optimum: Callable[[int], np.ndarray]
-    optimum_value: Callable[[int], float]
+    optimum: float  # the minimizer's coordinate on every gene
+    optimum_value: float = 0.0  # without the noise, whose mean is 0.5 per gene
     noisy: bool = False
     multimodal: bool = False
 
 
-_ZERO = lambda n: 0.0
-
 REGISTRY: dict[int, BenchmarkEntry] = {
     e.problem_id: e
     for e in [
-        BenchmarkEntry(1, "Ackley's Problem", _ackley, -30.0, 30.0, _zeros, _ZERO, multimodal=True),
-        BenchmarkEntry(2, "Exponential Problem", _exponential, -1.0, 1.0, _zeros, lambda n: -1.0),
-        BenchmarkEntry(3, "Griewank Problem", _griewank, -600.0, 600.0, _zeros, _ZERO, multimodal=True),
-        BenchmarkEntry(4, "Levy and Montalvo Problem 1", _levy_montalvo_1, -10.0, 10.0, _minus_ones, _ZERO, multimodal=True),
-        BenchmarkEntry(5, "Levy and Montalvo Problem 2", _levy_montalvo_2, -5.0, 5.0, _ones, _ZERO, multimodal=True),
-        BenchmarkEntry(6, "Rastrigin Problem", _rastrigin, -5.12, 5.12, _zeros, _ZERO, multimodal=True),
-        BenchmarkEntry(7, "Rosenbrock Problem", _rosenbrock, -30.0, 30.0, _ones, _ZERO),
-        BenchmarkEntry(8, "Zakharov's Function", _zakharov, -5.12, 5.12, _zeros, _ZERO),
-        BenchmarkEntry(9, "Sphere Function", _sphere, -5.12, 5.12, _zeros, _ZERO),
-        BenchmarkEntry(10, "Axis Parallel Hyper Ellipsoid", _hyper_ellipsoid, -5.12, 5.12, _zeros, _ZERO),
-        BenchmarkEntry(11, "Schwefel Problem 4", _schwefel_4, -100.0, 100.0, _zeros, _ZERO),
-        BenchmarkEntry(12, "De-Jong's Function with Noise", _dejong_noise, -10.0, 10.0, _zeros, lambda n: 0.5 * n, noisy=True),
-        BenchmarkEntry(13, "Cigar Function", _cigar, -10.0, 10.0, _zeros, _ZERO),
-        BenchmarkEntry(14, "Generalized Penalized Function 1", _penalized_1, -10.0, 10.0, _minus_ones, _ZERO, multimodal=True),
-        BenchmarkEntry(15, "Generalized Penalized Function 2", _penalized_2, -5.12, 5.12, _ones, _ZERO, multimodal=True),
+        BenchmarkEntry(1, "Ackley's Problem", _ackley, -30.0, 30.0, 0.0, multimodal=True),
+        BenchmarkEntry(2, "Exponential Problem", _exponential, -1.0, 1.0, 0.0, -1.0),
+        BenchmarkEntry(3, "Griewank Problem", _griewank, -600.0, 600.0, 0.0, multimodal=True),
+        BenchmarkEntry(4, "Levy and Montalvo Problem 1", _levy_montalvo_1, -10.0, 10.0, -1.0, multimodal=True),
+        BenchmarkEntry(5, "Levy and Montalvo Problem 2", _levy_montalvo_2, -5.0, 5.0, 1.0, multimodal=True),
+        BenchmarkEntry(6, "Rastrigin Problem", _rastrigin, -5.12, 5.12, 0.0, multimodal=True),
+        BenchmarkEntry(7, "Rosenbrock Problem", _rosenbrock, -30.0, 30.0, 1.0),
+        BenchmarkEntry(8, "Zakharov's Function", _zakharov, -5.12, 5.12, 0.0),
+        BenchmarkEntry(9, "Sphere Function", _sphere, -5.12, 5.12, 0.0),
+        BenchmarkEntry(10, "Axis Parallel Hyper Ellipsoid", _hyper_ellipsoid, -5.12, 5.12, 0.0),
+        BenchmarkEntry(11, "Schwefel Problem 4", _schwefel_4, -100.0, 100.0, 0.0),
+        BenchmarkEntry(12, "De-Jong's Function with Noise", _dejong_noise, -10.0, 10.0, 0.0, noisy=True),
+        BenchmarkEntry(13, "Cigar Function", _cigar, -10.0, 10.0, 0.0),
+        BenchmarkEntry(14, "Generalized Penalized Function 1", _penalized_1, -10.0, 10.0, -1.0, multimodal=True),
+        BenchmarkEntry(15, "Generalized Penalized Function 2", _penalized_2, -5.12, 5.12, 1.0, multimodal=True),
     ]
 }
 
@@ -207,11 +194,11 @@ def batch_eval(problem_id: int, X: np.ndarray, rng: Optional[RngStream] = None) 
 def benchmark_spec(problem_id: int, dimension: int = 30) -> ObjectiveSpec:
     """Registered bounds and optimum for one problem at the requested dimension."""
     entry = _entry(problem_id)
-    if dimension < 1 or (problem_id in CHAINED_PROBLEMS and dimension < 2):
+    if problem_id in CHAINED_PROBLEMS and dimension < 2:  # Bounds rejects dimension < 1
         raise ValueError(f"problem {problem_id}: invalid dimension {dimension}")
     return ObjectiveSpec(
         problem_id=problem_id,
-        bounds=Bounds.uniform(entry.lower, entry.upper, dimension),
-        optimum_location=entry.optimum(dimension),
-        optimum_value=float(entry.optimum_value(dimension)),
+        bounds=Bounds(entry.lower, entry.upper, dimension),
+        optimum_location=np.full(dimension, entry.optimum),
+        optimum_value=entry.optimum_value + (0.5 * dimension if entry.noisy else 0.0),
     )

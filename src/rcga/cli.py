@@ -14,8 +14,8 @@ variable; both take an integer >= 0, where 0 means the logical CPU count.
 ``analyze`` and ``plot`` use the same count (RCGA_WORKERS, else the CPU
 count): as threads that hash the trace files against the bundle's
 ``curves.npz`` digest, and as processes that parse the files no digest row
-matches; their outputs depend on neither. ``sweep`` reads its traces back
-with the count its runs used.
+matches; their outputs depend on neither. ``sweep`` reads nothing back:
+its table comes from the finals its runs return, as the traces hold them.
 ``analyze`` refuses a sweep bundle, whose table is ``sweep.csv``.
 Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 """

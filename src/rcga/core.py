@@ -1,4 +1,4 @@
-"""Shared primitives: gene vectors, box bounds, RNG streams, objective metadata.
+"""Shared primitives: gene vectors, the search box, RNG streams, objective metadata.
 
 A chromosome is a plain 1-D float64 numpy array (``RealVector``); all
 operators treat it as an immutable value and return fresh arrays.
@@ -23,32 +23,22 @@ def make_rng(seed: int) -> RngStream:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-gene box constraints with strictly ordered faces."""
+    """The box [lower, upper]^dimension: every gene searches the same interval."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: float
+    upper: float
+    dimension: int
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValueError("bounds: lower and upper must be 1-D arrays of equal length")
-        if not np.all(lower < upper):
-            raise ValueError("bounds: every lower bound must lie strictly below its upper bound")
-
-    @classmethod
-    def uniform(cls, lower: float, upper: float, dimension: int) -> "Bounds":
-        """Same [lower, upper] interval for every gene."""
-        return cls(np.full(dimension, float(lower)), np.full(dimension, float(upper)))
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+            raise ValueError("bounds: lower and upper must be finite")
+        if not self.lower < self.upper:
+            raise ValueError("bounds: lower must lie strictly below upper")
+        if self.dimension < 1:
+            raise ValueError("bounds: dimension must be at least 1")
 
     @property
-    def dimension(self) -> int:
-        return self.lower.size
-
-    @property
-    def span(self) -> np.ndarray:
+    def span(self) -> float:
         return self.upper - self.lower
 
 

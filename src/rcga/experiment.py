@@ -354,12 +354,14 @@ def _write_text(path: Path, text: str) -> None:
     _replace_atomically(path, lambda fh: fh.write(text))
 
 
-def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> None:
+def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> np.ndarray:
+    """Write the runs' curves; returns each run's final as the file holds it."""
     lines = ["run,generation,best_so_far"]
     for run_index, trace in enumerate(traces, start=1):
         for gen, value in enumerate(trace.best_per_generation, start=1):
             lines.append(f"{run_index},{gen},{format_sci(value)}")
     _write_text(path, "\n".join(lines) + "\n")
+    return np.array([float(format_sci(trace.best_per_generation[-1])) for trace in traces])
 
 
 _TRACE_ROW = np.dtype([("run", np.int64), ("generation", np.int64), ("best_so_far", np.float64)])
@@ -436,26 +438,28 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[dict], s
     }
 
 
-def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> Path:
-    """Write each cell's trace CSV as the cell finishes, then the manifest."""
+def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> dict[int, np.ndarray]:
+    """Write each cell's trace CSV as the cell finishes, then the manifest;
+    returns ``{cell index: finals}`` for the ok cells, as their traces hold them."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    statuses = {}
+    statuses, finals = {}, {}
     for cell, payload in _run_cells(cfg, cells):
         if isinstance(payload, str):
             statuses[cell["index"]] = f"failed: {payload}"
         else:
-            _write_trace_csv(out / cell["file"], payload)
+            finals[cell["index"]] = _write_trace_csv(out / cell["file"], payload)
             statuses[cell["index"]] = "ok"
     manifest = _manifest_payload(cfg, kind, cells, statuses)
     _write_text(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return out
+    return finals
 
 
 def run_experiment(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """Execute the full grid of a config file; returns the bundle directory."""
     cfg = parse_config(config_path, overrides)
-    return _persist_bundle(cfg, "experiment", experiment_cells(cfg.problems, cfg.operators, cfg.mutations))
+    _persist_bundle(cfg, "experiment", experiment_cells(cfg.problems, cfg.operators, cfg.mutations))
+    return cfg.output_dir
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +526,14 @@ def _hash_files(paths: Sequence[Path], workers: int) -> list[bytes]:
 
 
 def _reduce_cells(
-    bundle_dir: Path, cells: Sequence[dict], digest: Mapping[bytes, _Reduction], workers: int = 0
+    bundle_dir: Path, cells: Sequence[dict], digest: Mapping[bytes, _Reduction]
 ) -> list[Optional[tuple[bytes, _Reduction]]]:
     """``_reduce_cell`` of each cell, in order; None for a cell that is not
     ``ok`` or whose trace is missing. Each usable trace is hashed on
-    ``resolve_workers(workers)`` threads; one that hashes to a ``digest`` row
-    is taken from it, and only the others are parsed, in a pool of that many
+    ``resolve_workers(0)`` threads; one that hashes to a ``digest`` row is
+    taken from it, and only the others are parsed, in a pool of that many
     processes when more than one is."""
-    workers = resolve_workers(workers)
+    workers = resolve_workers(0)
     usable = [i for i, cell in enumerate(cells) if cell["status"] == "ok" and (bundle_dir / cell["file"]).is_file()]
     shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], workers)
     reduced: list[Optional[tuple[bytes, _Reduction]]] = [None] * len(cells)
@@ -578,8 +582,8 @@ def _write_curve_digest(path: Path, rows: Mapping[bytes, _Reduction]) -> None:
 def _load_curve_digest(path: Path) -> dict[bytes, _Reduction]:
     """The digest at ``path`` as ``sha -> (finals, (mean, std))``; ``{}`` when
     it is missing, unreadable, mis-shaped or of the format without finals."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
+    try:  # np.load does not close a handle it opened when the zip is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             sha, finals, mean, std = npz["sha"], npz["finals"], npz["mean"], npz["std"]
     except Exception:  # noqa: BLE001
         # A damaged zip fails in many ways (BadZipFile, NotImplementedError,
@@ -766,19 +770,20 @@ SWEEP_DEFAULTS = {"problems": "4,5,7,11", "population_size": "100", "generations
 
 
 def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
-    """PSOX-GM runs across the configured mutation rates; emits sweep.csv and panels."""
+    """PSOX-GM runs across the configured mutation rates; emits sweep.csv and
+    panels from the finals the runs return, reading no trace back."""
     cfg = parse_config(config_path, overrides, defaults=SWEEP_DEFAULTS)
     cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
-    out = _persist_bundle(cfg, "sweep", cells)
-    cells = load_manifest(out)["cells"]  # the same records, with their statuses
+    finals = _persist_bundle(cfg, "sweep", cells)
+    out = cfg.output_dir
 
     lines = ["rate,problem,mean,std"]
     per_problem: dict[int, list[tuple[float, float, float]]] = {}
-    for cell, reduced in zip(cells, _reduce_cells(out, cells, {}, cfg.workers)):
-        if reduced is None:
+    for cell in cells:
+        if cell["index"] not in finals:
             lines.append(f"{format_sci(cell['rate'])},{cell['problem']},-,-")
             continue
-        mean, std = summarize(reduced[1][0])
+        mean, std = summarize(finals[cell["index"]])
         lines.append(f"{format_sci(cell['rate'])},{cell['problem']},{format_sci(mean)},{format_sci(std)}")
         per_problem.setdefault(cell["problem"], []).append((cell["rate"], mean, std))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")

@@ -5,8 +5,8 @@ call, SBX and Laplace emit the symmetric pair. The randomized crossovers draw
 fresh numbers per gene from the caller-owned stream, so the scalar textbook
 formulas act independently on every coordinate. A mutation draws one uniform
 per gene for its hit mask, then its step draws for the hit genes only, in
-row-major order of the hits; it clamps only the hit genes, and every other
-gene comes back bit-identical.
+row-major order of the hits; it clamps only the hit genes, to the box's one
+interval, and every other gene comes back bit-identical.
 
 Every crossover and mutation takes one ``(n,)`` chromosome or an ``(m, n)``
 matrix of them, drawing row-major. Row r of a crossover's matrix call equals
@@ -25,7 +25,7 @@ archive maintained by the engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -45,6 +45,17 @@ class CrossoverKind(str, Enum):
 class MutationKind(str, Enum):
     NUM = "NUM"
     GM = "GM"
+
+
+def _validate(cfg, rules) -> None:
+    """Raise for the first non-finite float field, else for the first failed range rule."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+    for name, ok, message in rules:
+        if not ok:
+            raise ValueError(f"{name} {message}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +80,12 @@ class CrossoverConfig:
     crossover_rate: float = 0.8
 
     def __post_init__(self):
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if self.sbx_eta <= 0.0:
-            raise ValueError("sbx_eta must be positive")
-        if not 0.0 < self.blx_alpha < 1.0:
-            raise ValueError("blx_alpha must lie in (0, 1)")
-        if self.laplace_b < 0.0:
-            raise ValueError("laplace_b must be non-negative")
+        _validate(self, (
+            ("crossover_rate", 0.0 <= self.crossover_rate <= 1.0, "must lie in [0, 1]"),
+            ("sbx_eta", self.sbx_eta > 0.0, "must be positive"),
+            ("blx_alpha", 0.0 < self.blx_alpha < 1.0, "must lie in (0, 1)"),
+            ("laplace_b", self.laplace_b >= 0.0, "must be non-negative"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -94,12 +103,11 @@ class MutationConfig:
     num_b: float = 5.0
 
     def __post_init__(self):
-        if not 0.0 <= self.per_gene_rate <= 1.0:
-            raise ValueError("per_gene_rate must lie in [0, 1]")
-        if self.gm_sigma_fraction <= 0.0:
-            raise ValueError("gm_sigma_fraction must be positive")
-        if self.num_b <= 0.0:
-            raise ValueError("num_b must be positive")
+        _validate(self, (
+            ("per_gene_rate", 0.0 <= self.per_gene_rate <= 1.0, "must lie in [0, 1]"),
+            ("gm_sigma_fraction", self.gm_sigma_fraction > 0.0, "must be positive"),
+            ("num_b", self.num_b > 0.0, "must be positive"),
+        ))
 
 
 def _check_pair(p1: np.ndarray, p2: np.ndarray, what: str) -> None:
@@ -185,25 +193,25 @@ def psox_crossover(
 
 
 def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: RngStream, move) -> RealVector:
-    """A copy of x in which only the genes hit at ``rate`` are moved, then clamped to their column's bounds.
+    """A copy of x in which only the genes hit at ``rate`` are moved, then clamped to the box.
 
-    ``move(values, lower, upper)`` gets the hit genes in row-major order with
-    their columns' faces, and makes its draws for those genes only.
+    ``move(values)`` gets the hit genes in row-major order and makes its
+    draws for those genes only.
     """
     out = np.array(x, dtype=float, order="C")
+    if out.shape[-1] != b.dimension:
+        raise ValueError(f"mutation: chromosomes have {out.shape[-1]} genes, the bounds {b.dimension}")
     genes = out.reshape(-1)
     flat = np.flatnonzero(rng.random(out.shape) < rate)
-    col = flat % out.shape[-1]
-    lower, upper = b.lower[col], b.upper[col]
-    genes[flat] = np.minimum(np.maximum(move(genes[flat], lower, upper), lower), upper)
+    genes[flat] = np.minimum(np.maximum(move(genes[flat]), b.lower), b.upper)
     return out
 
 
 def gaussian_mutation(x: RealVector, b: Bounds, cfg: MutationConfig, rng: RngStream) -> RealVector:
     """Perturb each gene with rate ``per_gene_rate`` by N(0, sigma_fraction * range); clamp it."""
 
-    def move(v, lower, upper):
-        return v + rng.normal(size=v.size) * (cfg.gm_sigma_fraction * (upper - lower))
+    def move(v):
+        return v + rng.normal(size=v.size) * (cfg.gm_sigma_fraction * b.span)
 
     return _mutate_hits(x, b, cfg.per_gene_rate, rng, move)
 
@@ -226,10 +234,10 @@ def nonuniform_mutation(
     if not 0 <= gen <= max_gen:
         raise ValueError("nonuniform_mutation: gen must lie in [0, max_gen]")
 
-    def move(v, lower, upper):
+    def move(v):
         upward = rng.random(v.size) < 0.5
         step = 1.0 - rng.random(v.size) ** ((1.0 - gen / max_gen) ** cfg.num_b)
-        return v + (np.where(upward, upper, lower) - v) * step
+        return v + (np.where(upward, b.upper, b.lower) - v) * step
 
     return _mutate_hits(x, b, cfg.per_gene_rate, rng, move)
 

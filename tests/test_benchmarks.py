@@ -141,7 +141,7 @@ class TestRegistry:
     )
     def test_bounds(self, pid, lo, hi):
         spec = benchmark_spec(pid)
-        assert spec.bounds.lower[0] == lo and spec.bounds.upper[0] == hi
+        assert spec.bounds.lower == lo and spec.bounds.upper == hi
 
     @pytest.mark.parametrize("pid", sorted(set(REGISTRY) - {12}))
     @pytest.mark.parametrize("n", [2, 10, 30])
@@ -154,6 +154,7 @@ class TestRegistry:
         rng = make_rng(4)
         values = batch_eval(12, np.tile(spec.optimum_location, (1000, 1)), rng=rng)
         assert abs(values.mean() - spec.optimum_value) < 0.05 * 10
+        assert benchmark_spec(12).optimum_value == 15.0  # the noise's expectation, 0.5 per gene
 
     @pytest.mark.parametrize("pid", sorted(set(REGISTRY) - {12}))
     def test_random_samples_never_beat_optimum(self, pid):
@@ -164,12 +165,19 @@ class TestRegistry:
 
     def test_spec_examples(self):
         s1 = benchmark_spec(1)
-        assert (s1.bounds.lower[0], s1.bounds.upper[0]) == (-30.0, 30.0)
+        assert (s1.bounds.lower, s1.bounds.upper) == (-30.0, 30.0)
         assert s1.optimum_value == 0.0 and np.all(s1.optimum_location == 0.0)
         s6 = benchmark_spec(6)
-        assert (s6.bounds.lower[0], s6.bounds.upper[0]) == (-5.12, 5.12)
+        assert (s6.bounds.lower, s6.bounds.upper) == (-5.12, 5.12)
         s7 = benchmark_spec(7)
         assert np.all(s7.optimum_location == 1.0)
+
+    def test_spec_rejects_a_short_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            benchmark_spec(9, dimension=0)
+        with pytest.raises(ValueError, match="problem 5: invalid dimension 1"):
+            benchmark_spec(5, dimension=1)
+        assert benchmark_spec(9, dimension=1).optimum_location.tolist() == [0.0]
 
     def test_rosenbrock_corrected_optimum_beats_samples(self):
         # The all-ones minimizer must undercut a million random samples.

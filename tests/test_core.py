@@ -5,23 +5,28 @@ from rcga.core import Bounds, make_rng
 
 
 def box(lo, hi, n):
-    return Bounds.uniform(lo, hi, n)
+    return Bounds(lo, hi, n)
 
 
 class TestBounds:
     def test_uniform_constructor(self):
         b = box(-30.0, 30.0, 4)
         assert b.dimension == 4
-        assert np.all(b.lower == -30.0) and np.all(b.upper == 30.0)
-        assert np.all(b.span == 60.0)
+        assert (b.lower, b.upper, b.span) == (-30.0, 30.0, 60.0)
 
     def test_rejects_reversed_faces(self):
-        with pytest.raises(ValueError):
-            Bounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        for lo, hi in ((1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="strictly below"):
+                box(lo, hi, 2)
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Bounds(np.zeros(2), np.ones(3))
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_rejects_non_finite_face(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            box(lo, hi, 2)
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            box(-1.0, 1.0, 0)
 
 
 class TestRngStream:

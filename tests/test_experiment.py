@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -281,6 +283,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"a\.cfg: {key}"):
             parse_config(write_config(tmp_path / "a.cfg", **{key: bad}))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", OPERATOR_KEYS)
+    def test_non_finite_operator_value_rejected(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path / "a.cfg", **{key: value})
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key} must be finite"):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     def test_missing_problems_rejected(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("name = x\n")
@@ -461,6 +473,13 @@ def half_writing_open(path, mode="r", **kwargs):
 
 
 class TestWriteTraceCsv:
+    def test_returned_finals_are_the_parsed_ones(self, tmp_path):
+        path = tmp_path / "trace_p01_AX_GM.csv"
+        ends = [1.234565e-7, 5e-324, -2.5e-310, 123456.75, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+        finals = _write_trace_csv(path, [trace([3.0, end]) for end in ends])
+        parsed = np.array([curve[-1] for curve in read_trace_csv(path).values()])
+        assert finals.dtype == np.float64 and finals.tobytes() == parsed.tobytes()
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "open", half_writing_open, raising=False)
         with pytest.raises(OSError, match="No space left"):
@@ -759,6 +778,17 @@ class TestCurveDigest:
         drawn = self.svgs(bundle, tmp_path / "a")
         digest.unlink()
         assert drawn == self.svgs(bundle, tmp_path / "b")
+
+    def test_truncated_digest_leaves_no_open_file(self, tmp_path):
+        bundle = self.bundle(tmp_path)
+        analyze(bundle)
+        digest = bundle / CURVES_NAME
+        digest.write_bytes(digest.read_bytes()[: digest.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _load_curve_digest(digest) == {}
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_trace_lost_after_analyze_is_dropped_despite_its_digest_row(self, tmp_path):
         bundle = self.bundle(tmp_path)
@@ -1074,17 +1104,25 @@ class TestSweep:
         sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
         assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
-    @pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2, 2])])
-    def test_traces_are_read_with_the_count_the_runs_use(self, tmp_path, monkeypatch, workers, pools):
+    @pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2])])
+    def test_table_comes_from_the_runs_not_the_traces(self, tmp_path, monkeypatch, workers, pools):
         started = []
         start_pool = experiment._process_pool
         monkeypatch.setattr(experiment, "_process_pool", lambda n: started.append(n) or start_pool(n))
         monkeypatch.delenv("RCGA_WORKERS", raising=False)
+
+        def never(*args):
+            raise AssertionError("the sweep read a trace back")
+
+        monkeypatch.setattr(experiment, "read_trace_csv", never)
+        monkeypatch.setattr(experiment, "_file_sha256", never)
         cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4",
                            runs="2", workers=workers)
         bundle = mutation_sweep(cfg)
-        assert started == pools  # the runs, then the parse of their traces
+        assert started == pools  # the runs' pool only
         assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+        sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
+        assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
     def test_sweep_defaults_applied(self, tmp_path):
         path = tmp_path / "s.cfg"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -180,7 +182,7 @@ class TestPsox:
 
 
 def unit_bounds(n):
-    return Bounds.uniform(-1.0, 1.0, n)
+    return Bounds(-1.0, 1.0, n)
 
 
 class TestGaussianMutation:
@@ -273,13 +275,17 @@ class TestSparseMutation:
         assert out[spared].tobytes() == x[spared].tobytes()
         assert not np.array_equal(out[~spared], x[~spared])
 
-    def test_hit_gene_is_clipped_to_its_own_column(self):
-        b = Bounds(np.array([-1.0, 0.0, 10.0]), np.array([1.0, 5.0, 20.0]))
-        x = np.array([[0.0, 2.5, 15.0], [0.5, 1.0, 12.0]])
+    def test_huge_steps_land_on_the_faces(self):
+        x = np.array([[0.0, 0.5, -0.5], [0.5, 0.25, 0.0]])
         hit = np.array([[0.0, 0.9, 0.0], [0.9, 0.0, 0.0]])
         big = np.array([1e6, -1e6, -1e6, 1e6])
-        out = gaussian_mutation(x, b, self.GM, StubRng(uniforms=[hit], normals=[big]))
-        assert out.tolist() == [[1.0, 2.5, 10.0], [0.5, 0.0, 20.0]]
+        out = gaussian_mutation(x, unit_bounds(3), self.GM, StubRng(uniforms=[hit], normals=[big]))
+        assert out.tolist() == [[1.0, 0.5, -1.0], [0.5, -1.0, 1.0]]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_chromosomes_of_another_dimension(self, n):
+        with pytest.raises(ValueError, match="genes"):
+            gaussian_mutation(np.zeros((2, n)), unit_bounds(3), self.GM, make_rng(0))
 
     def test_one_normal_per_hit(self):
         x = np.zeros((6, 7))
@@ -304,6 +310,17 @@ class TestSparseMutation:
         out = nonuniform_mutation(np.array([x]), unit_bounds(1), gen, max_gen, self.NUM,
                                   StubRng(uniforms=[0.0, up, r]))
         assert abs(out[0] - expected) < 1e-15
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (CrossoverConfig, MutationConfig)
+                for f in fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+def test_config_rejects_a_non_finite_float(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        cls(**{name: value})
 
 
 class TestTournament:
