@@ -8,14 +8,15 @@ Subcommands:
     list-benchmarks                        registry overview
 
 ``run`` and ``sweep`` write each cell's trace CSV as soon as the cell's runs
-finish, and the bundle manifest at the end. Worker count comes from the
-config's ``workers`` key, overridden by the RCGA_WORKERS environment
-variable; both take an integer >= 0, where 0 means the logical CPU count.
-``analyze`` and ``plot`` use the same count (RCGA_WORKERS, else the CPU
-count): as threads that hash the trace files against the bundle's
-``curves.npz`` digest, and as processes that parse the files no digest row
-matches; their outputs depend on neither. ``sweep`` reads nothing back:
-its table comes from the finals its runs return, as the traces hold them.
+finish, then the bundle manifest, then the ``curves.npz`` digest of each
+trace's reduction, computed from the values as written. Worker count comes
+from the config's ``workers`` key, overridden by the RCGA_WORKERS
+environment variable; both take an integer >= 0, where 0 means the logical
+CPU count. ``analyze`` and ``plot`` use the same count (RCGA_WORKERS, else
+the CPU count) as threads that hash the trace files against the digest;
+they parse, in one process, only the files no digest row matches, and
+their outputs depend on neither. ``sweep`` reads nothing back: its table
+comes from the digest rows of its runs.
 ``analyze`` refuses a sweep bundle, whose table is ``sweep.csv``.
 Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
 """

@@ -1,9 +1,10 @@
 """Experiment orchestration: config files, parallel runs, bundles, analysis.
 
 A bundle directory holds one trace CSV per cell (problem x operator x
-mutation, or problem x rate for sweeps) plus a ``manifest.json``. Per-run
-seeds are ``master_seed + cell_index * runs + run_index``, so re-running a
-config reproduces every trace byte for byte regardless of worker scheduling.
+mutation, or problem x rate for sweeps), a ``manifest.json`` and the
+``curves.npz`` digest of each cell's reduction. Per-run seeds are
+``master_seed + cell_index * runs + run_index``, so re-running a config
+reproduces every trace byte for byte regardless of worker scheduling.
 
 Config files are flat ``key = value`` text. The ``mutation_rate`` key uses
 chromosome-level semantics: a rate of m perturbs an expected m genes per
@@ -354,14 +355,39 @@ def _write_text(path: Path, text: str) -> None:
     _replace_atomically(path, lambda fh: fh.write(text))
 
 
-def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> np.ndarray:
-    """Write the runs' curves; returns each run's final as the file holds it."""
+# The curve digest: per usable trace file, keyed by the SHA-256 of its bytes,
+# the whole reduction of its cell (the runs' finals and the per-generation mean
+# and std). ``run`` and ``sweep`` write it, ``analyze`` rewrites it when its
+# keys change, and ``analyze`` and ``plot_convergence`` take a cell from its
+# row only while the file's bytes still hash to the key, so a rewritten trace
+# is parsed again; a size or mtime shortcut would not see a same-size rewrite.
+
+_Reduction = tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # (finals, (mean, std))
+
+
+def _digest_row(sha: bytes, curves: Sequence[np.ndarray]) -> Optional[tuple[bytes, _Reduction]]:
+    """``(sha, (finals, (mean, std)))`` of the runs' curves, in run order; None
+    if there are none or they differ in length. The trace writer and
+    ``_reduce_cell`` both reduce through here."""
+    if not curves or len({curve.size for curve in curves}) > 1:
+        return None
+    matrix = np.vstack(curves)
+    # A view of the last column would keep the whole matrix alive.
+    return sha, (matrix[:, -1].copy(), summarize(matrix))
+
+
+def _write_trace_csv(path: Path, traces: Sequence[RunTrace]) -> Optional[tuple[bytes, _Reduction]]:
+    """Write the runs' curves; returns the cell's digest row, the one
+    ``_reduce_cell`` builds from the file: the SHA-256 of the bytes written
+    and the reduction of the values as the file holds them."""
+    texts = [[format_sci(value) for value in trace.best_per_generation] for trace in traces]
     lines = ["run,generation,best_so_far"]
-    for run_index, trace in enumerate(traces, start=1):
-        for gen, value in enumerate(trace.best_per_generation, start=1):
-            lines.append(f"{run_index},{gen},{format_sci(value)}")
-    _write_text(path, "\n".join(lines) + "\n")
-    return np.array([float(format_sci(trace.best_per_generation[-1])) for trace in traces])
+    for run_index, values in enumerate(texts, start=1):
+        lines.extend(f"{run_index},{gen},{text}" for gen, text in enumerate(values, start=1))
+    data = ("\n".join(lines) + "\n").encode()
+    _replace_atomically(path, lambda fh: fh.write(data), mode="wb")
+    curves = [np.array([float(text) for text in values]) for values in texts]  # as the file holds them
+    return _digest_row(hashlib.sha256(data).digest(), curves)
 
 
 _TRACE_ROW = np.dtype([("run", np.int64), ("generation", np.int64), ("best_so_far", np.float64)])
@@ -438,21 +464,22 @@ def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[dict], s
     }
 
 
-def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> dict[int, np.ndarray]:
-    """Write each cell's trace CSV as the cell finishes, then the manifest;
-    returns ``{cell index: finals}`` for the ok cells, as their traces hold them."""
+def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> dict[int, tuple[bytes, _Reduction]]:
+    """Write each cell's trace CSV as the cell finishes, then the manifest,
+    then the curve digest; returns ``{cell index: digest row}`` for the ok cells."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    statuses, finals = {}, {}
+    statuses, rows = {}, {}
     for cell, payload in _run_cells(cfg, cells):
         if isinstance(payload, str):
             statuses[cell["index"]] = f"failed: {payload}"
         else:
-            finals[cell["index"]] = _write_trace_csv(out / cell["file"], payload)
+            rows[cell["index"]] = _write_trace_csv(out / cell["file"], payload)
             statuses[cell["index"]] = "ok"
     manifest = _manifest_payload(cfg, kind, cells, statuses)
     _write_text(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return finals
+    _write_curve_digest(out / CURVES_NAME, dict(rows.values()))
+    return rows
 
 
 def run_experiment(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
@@ -473,15 +500,6 @@ def load_manifest(bundle_dir: Path | str) -> dict:
     return json.loads(path.read_text())
 
 
-# The curve digest: per usable trace file, keyed by the SHA-256 of its bytes,
-# the whole reduction of its cell: the runs' finals and the per-generation mean
-# and std. ``analyze`` and ``plot_convergence`` take a cell from its row only
-# when the file's bytes still hash to the key, so a rewritten trace is parsed
-# again; a size or mtime shortcut would not see a same-size rewrite.
-
-_Reduction = tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # (finals, (mean, std))
-
-
 def _file_sha256(path: Path) -> bytes:
     # In blocks, so that no whole-file buffer is allocated per trace: a
     # re-analysis and its plot hash every trace of the bundle.
@@ -498,16 +516,12 @@ def _reduce_cell(bundle_dir: Path, cell: dict, sha: bytes) -> Optional[tuple[byt
     numbers. None if the trace is empty or its runs differ in length; a
     ``ValueError`` if it no longer hashes to ``sha``, its hash before the
     parse, so a digest row always holds the numbers of the bytes its key
-    hashes. Module-level for a process pool."""
+    hashes."""
     path = Path(bundle_dir) / cell["file"]
     runs = read_trace_csv(path)
     if _file_sha256(path) != sha:
         raise ValueError(f"{path}: the file changed while it was read")
-    if not runs or len({curve.size for curve in runs.values()}) > 1:
-        return None
-    curves = np.vstack([runs[r] for r in sorted(runs)])
-    # A view of the last column would keep the whole matrix alive.
-    return sha, (curves[:, -1].copy(), summarize(curves))
+    return _digest_row(sha, [runs[r] for r in sorted(runs)])
 
 
 def _hash_files(paths: Sequence[Path], workers: int) -> list[bytes]:
@@ -531,29 +545,12 @@ def _reduce_cells(
     """``_reduce_cell`` of each cell, in order; None for a cell that is not
     ``ok`` or whose trace is missing. Each usable trace is hashed on
     ``resolve_workers(0)`` threads; one that hashes to a ``digest`` row is
-    taken from it, and only the others are parsed, in a pool of that many
-    processes when more than one is."""
-    workers = resolve_workers(0)
+    taken from it, and only the others are parsed, in this process."""
     usable = [i for i, cell in enumerate(cells) if cell["status"] == "ok" and (bundle_dir / cell["file"]).is_file()]
-    shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], workers)
+    shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], resolve_workers(0))
     reduced: list[Optional[tuple[bytes, _Reduction]]] = [None] * len(cells)
-    missed, before = [], []
     for i, sha in zip(usable, shas):
-        if sha in digest:
-            reduced[i] = sha, digest[sha]
-        else:
-            missed.append(i)
-            before.append(sha)
-    reduce_cell = partial(_reduce_cell, bundle_dir)
-    todo = [cells[i] for i in missed]
-    workers = min(workers, len(todo))
-    if workers <= 1:
-        parsed = map(reduce_cell, todo, before)
-    else:  # a few chunks per worker: one future per cell costs more than it balances
-        with _process_pool(workers) as pool:
-            parsed = list(pool.map(reduce_cell, todo, before, chunksize=max(1, len(todo) // (4 * workers))))
-    for i, r in zip(missed, parsed):
-        reduced[i] = r
+        reduced[i] = (sha, digest[sha]) if sha in digest else _reduce_cell(bundle_dir, cells[i], sha)
     return reduced
 
 
@@ -626,10 +623,10 @@ def analyze(
     raises ``ConfigError`` before anything is written.
 
     A cell whose trace file still hashes to a row of the curve digest
-    ``curves.npz`` is taken from that row. The traces are hashed on as many
-    threads as ``run`` uses worker processes (``RCGA_WORKERS``, else the CPU
-    count), and the others are parsed and reduced in a pool of that many
-    processes when more than one is. The digest is rewritten, for
+    ``curves.npz``, which ``run`` writes, is taken from that row. The traces
+    are hashed on as many threads as ``run`` uses worker processes
+    (``RCGA_WORKERS``, else the CPU count), and the others are parsed and
+    reduced in this process. The digest is rewritten, for
     ``plot_convergence`` and the next ``analyze``, when its set of keys
     changed. The statistics and every written byte depend neither
     on the worker count nor on whether the digest was there.
@@ -732,9 +729,9 @@ def plot_convergence(
 ) -> list[Path]:
     """One SVG panel per problem: mean best-so-far vs generation, +/-1 std band.
 
-    A cell whose trace file hashes to a row of the curve digest ``analyze``
-    left is drawn from that row; any other cell's trace is parsed. Both go
-    through ``analyze``'s hashing threads and parsing processes.
+    A cell whose trace file hashes to a row of the curve digest that ``run``
+    or ``analyze`` left is drawn from that row; any other cell's trace is
+    parsed. Both go through ``analyze``'s hashing threads and parse.
     """
     bundle_dir = Path(bundle_dir)
     manifest = load_manifest(bundle_dir)
@@ -771,19 +768,20 @@ SWEEP_DEFAULTS = {"problems": "4,5,7,11", "population_size": "100", "generations
 
 def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """PSOX-GM runs across the configured mutation rates; emits sweep.csv and
-    panels from the finals the runs return, reading no trace back."""
+    panels from the finals of the digest rows the runs' writer returns,
+    reading no trace back."""
     cfg = parse_config(config_path, overrides, defaults=SWEEP_DEFAULTS)
     cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
-    finals = _persist_bundle(cfg, "sweep", cells)
+    rows = _persist_bundle(cfg, "sweep", cells)
     out = cfg.output_dir
 
     lines = ["rate,problem,mean,std"]
     per_problem: dict[int, list[tuple[float, float, float]]] = {}
     for cell in cells:
-        if cell["index"] not in finals:
+        if cell["index"] not in rows:
             lines.append(f"{format_sci(cell['rate'])},{cell['problem']},-,-")
             continue
-        mean, std = summarize(finals[cell["index"]])
+        mean, std = summarize(rows[cell["index"]][1][0])
         lines.append(f"{format_sci(cell['rate'])},{cell['problem']},{format_sci(mean)},{format_sci(std)}")
         per_problem.setdefault(cell["problem"], []).append((cell["rate"], mean, std))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")

@@ -473,12 +473,24 @@ def half_writing_open(path, mode="r", **kwargs):
 
 
 class TestWriteTraceCsv:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and -inf in one mean
     def test_returned_finals_are_the_parsed_ones(self, tmp_path):
         path = tmp_path / "trace_p01_AX_GM.csv"
         ends = [1.234565e-7, 5e-324, -2.5e-310, 123456.75, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
-        finals = _write_trace_csv(path, [trace([3.0, end]) for end in ends])
+        _, (finals, _) = _write_trace_csv(path, [trace([3.0, end]) for end in ends])
         parsed = np.array([curve[-1] for curve in read_trace_csv(path).values()])
         assert finals.dtype == np.float64 and finals.tobytes() == parsed.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and -inf in one mean
+    def test_row_is_the_one_the_reader_builds(self, tmp_path):
+        path = tmp_path / "trace_p01_AX_GM.csv"
+        curves = [[np.inf, 3.5, 1.25e-300], [np.nan, -np.inf, 2.0], [7.0, np.inf, -0.0]]
+        sha, (finals, (mean, std)) = _write_trace_csv(path, [trace(c) for c in curves])
+        assert sha == experiment._file_sha256(path)
+        read_sha, (read_finals, (read_mean, read_std)) = experiment._reduce_cell(tmp_path, {"file": path.name}, sha)
+        assert read_sha == sha
+        for got, want in ((finals, read_finals), (mean, read_mean), (std, read_std)):
+            assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want, equal_nan=True)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "open", half_writing_open, raising=False)
@@ -696,13 +708,20 @@ class TestPlot:
 
 
 class TestCurveDigest:
-    """``analyze`` leaves ``curves.npz``; ``analyze`` and ``plot_convergence``
-    reuse rows whose trace bytes still hash to their key and parse every other
-    trace."""
+    """``run`` and ``analyze`` leave ``curves.npz``; ``analyze`` and
+    ``plot_convergence`` reuse rows whose trace bytes still hash to their key
+    and parse every other trace."""
 
     @staticmethod
     def bundle(tmp_path) -> Path:
         return run_experiment(write_config(tmp_path / "a.cfg", problems="9, 1", runs=4))
+
+    @classmethod
+    def cold_bundle(cls, tmp_path) -> Path:
+        """A bundle without its digest, so that each trace is parsed."""
+        bundle = cls.bundle(tmp_path)
+        (bundle / CURVES_NAME).unlink()
+        return bundle
 
     @staticmethod
     def svgs(bundle: Path, out: Path) -> dict[str, bytes]:
@@ -802,13 +821,32 @@ class TestCurveDigest:
         svg = drawn["convergence_p09.svg"].decode()
         assert lost["label"] not in svg and kept and all(c["label"] in svg for c in kept)
 
-    def test_plot_of_an_unanalysed_bundle_writes_no_digest(self, tmp_path):
+    def test_run_leaves_the_digest_a_cold_analyze_writes(self, tmp_path):
         bundle = self.bundle(tmp_path)
+        written = (bundle / CURVES_NAME).read_bytes()
+        assert len(_load_curve_digest(bundle / CURVES_NAME)) == 4
+        (bundle / CURVES_NAME).unlink()
+        analyze(bundle)
+        assert (bundle / CURVES_NAME).read_bytes() == written
+
+    def test_run_then_analyze_and_plot_parse_no_trace(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        parsed = self.count_parses(monkeypatch)
+        analyze(bundle)
+        plot_convergence(bundle)
+        assert parsed == []
+        self.flip_exponent_signs(bundle)
+        analyze(bundle)
+        plot_convergence(bundle)
+        assert parsed == [bundle / load_manifest(bundle)["cells"][0]["file"]]
+
+    def test_plot_of_an_unanalysed_bundle_writes_no_digest(self, tmp_path):
+        bundle = self.cold_bundle(tmp_path)
         assert len(plot_convergence(bundle)) == 2
         assert not (bundle / CURVES_NAME).exists()
 
     def test_analyze_then_plot_parse_each_trace_once(self, tmp_path, monkeypatch):
-        bundle = self.bundle(tmp_path)
+        bundle = self.cold_bundle(tmp_path)
         parsed = []
         real = experiment.read_trace_csv
 
@@ -824,7 +862,7 @@ class TestCurveDigest:
         assert sorted(parsed) == sorted(files) and len(files) == 4
 
     def test_a_parsed_trace_is_hashed_before_and_after_its_parse_only(self, tmp_path, monkeypatch):
-        bundle = self.bundle(tmp_path)
+        bundle = self.cold_bundle(tmp_path)
         files = sorted(c["file"] for c in load_manifest(bundle)["cells"])
         hashed = self.count_hashes(monkeypatch)
         analyze(bundle)  # no digest: no lookup, one hash before and one after each parse
@@ -860,7 +898,7 @@ class TestCurveDigest:
         assert [p.name for p in tmp_path.iterdir()] == [CURVES_NAME]
 
     def test_second_analyze_parses_no_trace(self, tmp_path, monkeypatch):
-        bundle = self.bundle(tmp_path)
+        bundle = self.cold_bundle(tmp_path)
         parsed = self.count_parses(monkeypatch)
         analyze(bundle)
         assert len(parsed) == 4
@@ -887,7 +925,7 @@ class TestCurveDigest:
         assert self.tables(bundle) == first
 
     def test_digest_is_rewritten_only_when_its_keys_change(self, tmp_path, monkeypatch):
-        bundle = self.bundle(tmp_path)
+        bundle = self.cold_bundle(tmp_path)
         writes = []
         real = experiment._write_curve_digest
         monkeypatch.setattr(experiment, "_write_curve_digest", lambda path, rows: writes.append(len(rows)) or real(path, rows))
@@ -930,7 +968,7 @@ class TestCurveDigest:
             np.testing.assert_array_equal(rebuilt[key], current[key])
 
     def test_trace_rewritten_while_it_is_parsed_leaves_no_stale_row(self, tmp_path, monkeypatch):
-        bundle = self.bundle(tmp_path)
+        bundle = self.cold_bundle(tmp_path)
         target = bundle / load_manifest(bundle)["cells"][0]["file"]
         parsed = self.count_parses(monkeypatch)
         counting = experiment.read_trace_csv
@@ -964,8 +1002,8 @@ class TestCurveDigest:
 
 
 class TestAnalyzeWorkers:
-    """``analyze`` parses and reduces the trace files in a process pool of
-    ``resolve_workers(0)`` workers; nothing it returns or writes depends on that."""
+    """``analyze`` hashes the trace files on ``resolve_workers(0)`` threads and
+    parses in its own process; nothing it returns or writes depends on that."""
 
     @staticmethod
     def bundle(tmp_path) -> Path:
@@ -987,7 +1025,8 @@ class TestAnalyzeWorkers:
         for workers in ("1", "2"):
             monkeypatch.setenv("RCGA_WORKERS", workers)
             copy = shutil.copytree(bundle, tmp_path / f"workers-{workers}")
-            plot_convergence(copy, output=copy / "cold")  # an unanalysed bundle: every trace parsed
+            (copy / CURVES_NAME).unlink()
+            plot_convergence(copy, output=copy / "cold")  # no digest: every trace parsed
             analyze(copy)
             cold = TestCurveDigest.tables(copy) + [(copy / CURVES_NAME).read_bytes()]
             analyze(copy)
@@ -999,7 +1038,7 @@ class TestAnalyzeWorkers:
             assert {p.name: p.read_bytes() for p in (copy / "cold").iterdir()} == \
                 {name: data for name, data in files.items() if name.endswith(".svg")}
             outputs[workers] = files, arrays
-        assert pools == [2, 2]
+        assert pools == []  # the read side starts no process pool
         (files_1, arrays_1), (files_2, arrays_2) = outputs["1"], outputs["2"]
         assert files_1 == files_2 and {"summary.csv", "dunnett.csv", "convergence_p09.svg"} <= set(files_1)
         assert arrays_1.keys() == arrays_2.keys() == {"sha", "finals", "mean", "std"}
@@ -1041,8 +1080,9 @@ class TestAnalyzeWorkers:
         assert TestCurveDigest.tables(bundle) == warm
         assert {p.name: p.read_bytes() for p in plot_convergence(bundle, output=tmp_path / "cold")} == drawn
 
-    def test_malformed_trace_raises_the_same_error_from_the_pool(self, tmp_path, monkeypatch):
+    def test_malformed_trace_raises_one_error_at_any_worker_count(self, tmp_path, monkeypatch):
         bundle = self.bundle(tmp_path)
+        digest = (bundle / CURVES_NAME).read_bytes()
         path = bundle / load_manifest(bundle)["cells"][-1]["file"]
         lines = path.read_text().splitlines()
         lines[5] = "2,1,two"
@@ -1055,10 +1095,11 @@ class TestAnalyzeWorkers:
             assert type(info.value) is ValueError
             messages.append(str(info.value))
         assert messages[0] == messages[1] == f"{path}: line 6: expected integer run and generation and a number: '2,1,two'"
-        assert not (bundle / "summary.csv").exists() and not (bundle / CURVES_NAME).exists()
+        assert not (bundle / "summary.csv").exists() and (bundle / CURVES_NAME).read_bytes() == digest
 
     def test_one_cell_bundle_starts_no_pool(self, tmp_path, monkeypatch):
         bundle = run_experiment(write_config(tmp_path / "a.cfg", operators="PSOX"))
+        (bundle / CURVES_NAME).unlink()
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for one cell")
@@ -1085,6 +1126,7 @@ class TestSweep:
         assert len(rows) == 7  # header + 3 rates x 2 problems
         assert (bundle / "sweep_p09.svg").is_file()
         assert (bundle / "sweep_p06.svg").is_file()
+        assert len(_load_curve_digest(bundle / CURVES_NAME)) == 6
         manifest = load_manifest(bundle)
         assert manifest["kind"] == "sweep"
         assert all(c["operator"] == "PSOX" and c["mutation"] == "GM" for c in manifest["cells"])
@@ -1284,11 +1326,11 @@ class TestCli:
         # Buffered, the write fails in the final flush; unbuffered, in the first print.
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
                "PYTHONUNBUFFERED": unbuffered}
-        proc = subprocess.Popen([sys.executable, "-m", "rcga", "list-benchmarks"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()  # the reader is gone before the first line is written
-        err = proc.stderr.read().decode()
-        assert proc.wait() == 1
+        with subprocess.Popen([sys.executable, "-m", "rcga", "list-benchmarks"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()  # the reader is gone before the first line is written
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err and "Exception ignored" not in err
 
     def test_list_benchmarks(self, capsys):
