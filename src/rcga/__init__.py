@@ -4,7 +4,6 @@ from .core import (
     Bounds,
     ObjectiveSpec,
     RealVector,
-    RngStream,
     make_rng,
 )
 from .benchmarks import benchmark_spec, batch_eval

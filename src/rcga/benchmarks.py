@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Bounds, ObjectiveSpec, RngStream
+from .core import Bounds, ObjectiveSpec
 
 # Problems whose formulas chain neighbouring genes (index i+1) need n >= 2.
 CHAINED_PROBLEMS = frozenset({4, 5, 7, 14, 15})
@@ -176,7 +176,7 @@ def resolve_problem_id(ident) -> int:
     return pid
 
 
-def batch_eval(problem_id: int, X: np.ndarray, rng: Optional[RngStream] = None) -> np.ndarray:
+def batch_eval(problem_id: int, X: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Evaluate a population matrix (m, n); returns m objective values."""
     entry = _entry(problem_id)
     X = np.asarray(X, dtype=float)

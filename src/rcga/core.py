@@ -12,12 +12,10 @@ import numpy as np
 # A chromosome: 1-D float64 array, one entry per gene.
 RealVector = np.ndarray
 
-# Deterministic random stream. One stream per run; never shared across runs.
-RngStream = np.random.Generator
 
-
-def make_rng(seed: int) -> RngStream:
-    """Build a PCG64 stream. Identical seeds replay identical draw sequences."""
+def make_rng(seed: int) -> np.random.Generator:
+    """Build a PCG64 stream, one per run. Identical seeds replay identical draws.
+    ``numpy.random`` loads at a process's first call, not at import."""
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

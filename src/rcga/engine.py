@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import benchmarks
-from .core import ObjectiveSpec, RngStream, make_rng
+from .core import ObjectiveSpec, make_rng
 from .operators import (
     CrossoverConfig,
     CrossoverKind,
@@ -98,7 +98,7 @@ class GaState:
     """Single-owner mutable run state; one RNG stream per state."""
 
     config: GaConfig
-    rng: RngStream
+    rng: np.random.Generator
     positions: np.ndarray  # (pop, n)
     fitness: np.ndarray  # (pop,)
     memory: SwarmMemory

@@ -207,12 +207,14 @@ def parse_config(
 
     Keys are applied in the order: ``defaults``, then the population,
     generations and runs preset of a ``scale`` entry, then the file's keys,
-    then ``overrides`` (e.g. from CLI flags); a later source wins.
+    then ``overrides`` (e.g. from CLI flags); a later source wins. A key
+    given twice in the file, in any case, is an error.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: config file not found")
     raw: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -220,7 +222,11 @@ def parse_config(
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip().lower()] = value.split("#", 1)[0].strip()
+        key = key.strip().lower()
+        if key in key_lines:
+            raise ConfigError(f"{path}: {key}: given twice, on lines {key_lines[key]} and {lineno}")
+        key_lines[key] = lineno
+        raw[key] = value.split("#", 1)[0].strip()
     if overrides:
         raw.update({k.lower(): str(v) for k, v in overrides.items() if v is not None})
     scale = raw.pop("scale", None)

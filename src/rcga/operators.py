@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Bounds, RealVector, RngStream
+from .core import Bounds, RealVector
 
 
 class CrossoverKind(str, Enum):
@@ -121,7 +121,7 @@ def ax_crossover(p1: RealVector, p2: RealVector, alpha: float) -> RealVector:
     return alpha * p1 + (1.0 - alpha) * p2
 
 
-def fx_crossover(p1: RealVector, p2: RealVector, rng: RngStream) -> RealVector:
+def fx_crossover(p1: RealVector, p2: RealVector, rng: np.random.Generator) -> RealVector:
     """Flat crossover: each gene uniform on the interval spanned by the parents."""
     _check_pair(p1, p2, "fx_crossover")
     lo = np.minimum(p1, p2)
@@ -129,7 +129,7 @@ def fx_crossover(p1: RealVector, p2: RealVector, rng: RngStream) -> RealVector:
     return lo + rng.random(lo.shape) * (hi - lo)
 
 
-def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: RngStream) -> RealVector:
+def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: np.random.Generator) -> RealVector:
     """Blend crossover: uniform on the parental interval extended by alpha on each side."""
     _check_pair(p1, p2, "blx_alpha_crossover")
     lo = np.minimum(p1, p2)
@@ -138,7 +138,7 @@ def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: RngSt
     return (lo - spread) + rng.random(lo.shape) * ((hi + spread) - (lo - spread))
 
 
-def sbx_crossover(p1: RealVector, p2: RealVector, eta: float, rng: RngStream) -> tuple[RealVector, RealVector]:
+def sbx_crossover(p1: RealVector, p2: RealVector, eta: float, rng: np.random.Generator) -> tuple[RealVector, RealVector]:
     """Simulated binary crossover; returns the symmetric child pair.
 
     Per gene, u ~ U[0,1) and the spread factor is beta = (2u)^(1/(eta+1)) for
@@ -156,7 +156,7 @@ def sbx_crossover(p1: RealVector, p2: RealVector, eta: float, rng: RngStream) ->
     return c1, c2
 
 
-def laplace_crossover(p1: RealVector, p2: RealVector, a: float, b: float, rng: RngStream) -> tuple[RealVector, RealVector]:
+def laplace_crossover(p1: RealVector, p2: RealVector, a: float, b: float, rng: np.random.Generator) -> tuple[RealVector, RealVector]:
     """Laplace crossover: both children shifted by beta * |p1 - p2| per gene.
 
     beta = a - b*ln(u) for u <= 0.5, a + b*ln(u) otherwise, with u ~ U(0,1).
@@ -178,7 +178,7 @@ def psox_crossover(
     pbest_j: RealVector,
     gbest: RealVector,
     cfg: CrossoverConfig,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> RealVector:
     """PSO-inspired crossover pulling p_i toward another slot's best and the global best.
 
@@ -192,7 +192,7 @@ def psox_crossover(
     return cfg.psox_w * p_i + cfg.psox_c1 * r1 * (pbest_j - p_i) + cfg.psox_c2 * r2 * (gbest - p_i)
 
 
-def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: RngStream, move) -> RealVector:
+def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: np.random.Generator, move) -> RealVector:
     """A copy of x in which only the genes hit at ``rate`` are moved, then clamped to the box.
 
     ``move(values)`` gets the hit genes in row-major order and makes its
@@ -207,7 +207,7 @@ def _mutate_hits(x: RealVector, b: Bounds, rate: float, rng: RngStream, move) ->
     return out
 
 
-def gaussian_mutation(x: RealVector, b: Bounds, cfg: MutationConfig, rng: RngStream) -> RealVector:
+def gaussian_mutation(x: RealVector, b: Bounds, cfg: MutationConfig, rng: np.random.Generator) -> RealVector:
     """Perturb each gene with rate ``per_gene_rate`` by N(0, sigma_fraction * range); clamp it."""
 
     def move(v):
@@ -222,7 +222,7 @@ def nonuniform_mutation(
     gen: int,
     max_gen: int,
     cfg: MutationConfig,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> RealVector:
     """Annealed mutation whose step shrinks to zero as gen approaches max_gen.
 
@@ -242,7 +242,7 @@ def nonuniform_mutation(
     return _mutate_hits(x, b, cfg.per_gene_rate, rng, move)
 
 
-def tournament_index(fitness: np.ndarray, k: int, rng: RngStream, size: int) -> np.ndarray:
+def tournament_index(fitness: np.ndarray, k: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Winners of ``size`` tournaments of k uniform-with-replacement draws; the earliest draw wins ties."""
     if fitness.size == 0:
         raise ValueError("tournament: population is empty")

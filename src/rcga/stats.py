@@ -77,12 +77,12 @@ def summarize(values) -> tuple:
     """Arithmetic mean and sample standard deviation over the first axis
     (n-1 divisor; 0 for n=1). A vector gives two floats; a (runs,
     generations) matrix gives per-generation arrays. The std of values that
-    include an infinity is NaN."""
+    include an infinity is NaN, and so is the mean of both infinities."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("summarize: empty input")
-    mean = v.mean(axis=0)
     with np.errstate(invalid="ignore"):
+        mean = v.mean(axis=0)
         std = v.std(axis=0, ddof=1) if v.shape[0] > 1 else np.zeros_like(mean)
     return (float(mean), float(std)) if v.ndim == 1 else (mean, std)
 

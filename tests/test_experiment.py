@@ -293,6 +293,15 @@ class TestParseConfig:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path / "a.cfg")  # seed is on line 9 of 11
+        path.write_text(path.read_text() + "SEED = 4\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg: seed: given twice, on lines 9 and 12$"):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert "seed: given twice, on lines 9 and 12" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
     def test_missing_problems_rejected(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("name = x\n")
@@ -473,7 +482,6 @@ def half_writing_open(path, mode="r", **kwargs):
 
 
 class TestWriteTraceCsv:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and -inf in one mean
     def test_returned_finals_are_the_parsed_ones(self, tmp_path):
         path = tmp_path / "trace_p01_AX_GM.csv"
         ends = [1.234565e-7, 5e-324, -2.5e-310, 123456.75, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
@@ -481,7 +489,6 @@ class TestWriteTraceCsv:
         parsed = np.array([curve[-1] for curve in read_trace_csv(path).values()])
         assert finals.dtype == np.float64 and finals.tobytes() == parsed.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and -inf in one mean
     def test_row_is_the_one_the_reader_builds(self, tmp_path):
         path = tmp_path / "trace_p01_AX_GM.csv"
         curves = [[np.inf, 3.5, 1.25e-300], [np.nan, -np.inf, 2.0], [7.0, np.inf, -0.0]]

@@ -65,6 +65,13 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_both_infinities_give_a_nan_mean_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, std = summarize(np.array([[np.inf, 1.0], [-np.inf, 2.0]]))
+        assert np.isnan(mean[0]) and mean[1] == 1.5
+        assert np.isnan(std[0]) and abs(std[1] - math.sqrt(0.5)) < 1e-15
+
 
 class TestKruskalWallis:
     def test_fixed_example(self):
@@ -255,6 +262,46 @@ print(json.dumps({"seen": seen, "methods": [a.report.kw_method for a in analyses
         result = json.loads(done.stdout)
         assert result["methods"] == [KW_CHI2]
         assert result["seen"] == {"import": [], "exact": [], "chi2": [], "analyze": []}
+
+
+class TestNumpyRandomLoading:
+    # A fresh interpreter: this module has already loaded numpy.random itself.
+    SCRIPT = """
+import json, sys
+import rcga, rcga.cli, rcga.experiment, rcga.svgplot
+
+def loaded():
+    return "numpy.random" in sys.modules
+
+seen = {"import": loaded()}
+bundle = rcga.experiment.run_experiment(sys.argv[1])
+seen["pooled_run"] = loaded()
+rcga.experiment.analyze(bundle)
+rcga.experiment.plot_convergence(bundle)
+seen["analyze"] = loaded()
+rcga.experiment.run_experiment(sys.argv[1], {"workers": 1, "output_dir": sys.argv[2]})
+seen["one_worker_run"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_only_a_process_that_draws_loads_numpy_random(self, tmp_path):
+        config = tmp_path / "rng.cfg"
+        config.write_text(
+            "name = rng\nproblems = 9\ndimension = 4\noperators = PSOX, AX\nmutations = GM\n"
+            "population_size = 16\ngenerations = 8\nruns = 3\nseed = 5\nworkers = 2\n"
+            f"output_dir = {tmp_path / 'pooled'}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rcga.__file__).resolve().parents[1]))
+        env.pop("RCGA_WORKERS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(config), str(tmp_path / "single")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # The pool's workers draw, so the pooled bundle is whole, yet the parent never loaded it.
+        assert len(list((tmp_path / "pooled").glob("trace_*.csv"))) == 2
+        assert json.loads(done.stdout) == {"import": False, "pooled_run": False, "analyze": False,
+                                           "one_worker_run": True}
 
 
 class TestDunnettOneSided:
