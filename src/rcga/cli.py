@@ -9,13 +9,12 @@ Subcommands:
 
 ``run`` and ``sweep`` write each cell's trace CSV as soon as the cell's runs
 finish, then the bundle manifest, then the ``curves.npz`` digest of each
-trace's reduction, computed from the values as written. Worker count comes
-from the config's ``workers`` key, overridden by the RCGA_WORKERS
-environment variable; both take an integer >= 0, where 0 means the logical
-CPU count. ``analyze`` and ``plot`` use the same count (RCGA_WORKERS, else
-the CPU count) as threads that hash the trace files against the digest;
-they parse, in one process, only the files no digest row matches, and
-their outputs depend on neither. ``sweep`` reads nothing back: its table
+trace's reduction, computed from the values as written. The config's
+``workers`` key sets their worker count, an integer >= 0, where 0 means
+one per CPU the process may run on. ``analyze`` and ``plot`` hash the trace
+files against the digest on one thread per such CPU; they parse, in one
+process, only the files no digest row matches, and their outputs depend
+on neither count. ``sweep`` reads nothing back: its table
 comes from the digest rows of its runs.
 ``analyze`` refuses a sweep bundle, whose table is ``sweep.csv``.
 Exit status is 0 on success, 2 on bad configs/usage, 1 on runtime failure.
@@ -33,6 +32,7 @@ from .experiment import (
     analyze,
     format_sci,
     mutation_sweep,
+    operator_name,
     parse_problems,
     plot_convergence,
     run_experiment,
@@ -94,7 +94,7 @@ def _cmd_analyze(args) -> int:
     print(f"wrote {args.bundle}/summary.csv and {args.bundle}/dunnett.csv")
     print(
         "dunnett orientation: one-sided, '+' = treatment objective significantly "
-        f"larger than {args.control}'s (control better under minimization)"
+        f"larger than {operator_name(args.control)}'s (control better under minimization)"
     )
     for a in analyses:
         if a.report is None:

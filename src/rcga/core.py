@@ -1,7 +1,8 @@
 """Shared primitives: gene vectors, the search box, RNG streams, objective metadata.
 
-A chromosome is a plain 1-D float64 numpy array (``RealVector``); all
-operators treat it as an immutable value and return fresh arrays.
+A chromosome is an ``(n,)`` float64 array and a population an ``(m, n)``
+matrix of them (``RealVector``); every crossover and mutation takes either,
+treats it as immutable and returns fresh arrays. The engine passes matrices.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A chromosome: 1-D float64 array, one entry per gene.
+# An (n,) chromosome, one entry per gene, or an (m, n) matrix of them.
 RealVector = np.ndarray
 
 

@@ -82,7 +82,7 @@ class ExperimentConfig:
     elitism: int = 1
     seed: int = 1
     alpha: float = 0.05
-    workers: int = 0  # 0 = logical CPU count
+    workers: int = 0  # 0 = the CPUs this process may run on
     output_dir: Path = Path("results")
     crossover: CrossoverConfig = field(default_factory=CrossoverConfig)
     mutation: MutationConfig = field(default_factory=MutationConfig)
@@ -299,17 +299,10 @@ def ga_config_for(cfg: ExperimentConfig, cell: dict, run_index: int) -> GaConfig
     )
 
 
-def resolve_workers(cfg_workers: int) -> int:
-    """Worker count: ``RCGA_WORKERS`` when set, else the ``workers`` key.
-
-    Both take an integer >= 0, and 0 means the logical CPU count.
-    """
-    env = os.environ.get("RCGA_WORKERS", "").strip()
-    if env:
-        if not env.isdecimal():
-            raise ConfigError(f"RCGA_WORKERS: must be an integer >= 0, got {env!r}")
-        cfg_workers = int(env)
-    return cfg_workers or os.cpu_count() or 1
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, so a ``taskset`` or cpuset limit is seen, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _process_pool(workers: int):
@@ -328,7 +321,7 @@ def _run_cells(cfg: ExperimentConfig, cells: Sequence[dict]) -> Iterator[tuple[d
     future per (cell, run). A failed cell keeps its first failing run's error.
     """
     jobs = [(cell, r) for cell in cells for r in range(cfg.runs)]
-    workers = min(resolve_workers(cfg.workers), len(jobs))
+    workers = min(cfg.workers or _cpus(), len(jobs))
     with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         configs = [ga_config_for(cfg, cell, r) for cell, r in jobs]
         calls = [pool.submit(run_ga, c).result if pool else partial(run_ga, c) for c in configs]
@@ -484,7 +477,7 @@ def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> 
             statuses[cell["index"]] = "ok"
     manifest = _manifest_payload(cfg, kind, cells, statuses)
     _write_text(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_curve_digest(out / CURVES_NAME, dict(rows.values()))
+    _write_curve_digest(out / CURVES_NAME, dict(rows.values()), (cfg.runs, cfg.generations))
     return rows
 
 
@@ -550,10 +543,10 @@ def _reduce_cells(
 ) -> list[Optional[tuple[bytes, _Reduction]]]:
     """``_reduce_cell`` of each cell, in order; None for a cell that is not
     ``ok`` or whose trace is missing. Each usable trace is hashed on
-    ``resolve_workers(0)`` threads; one that hashes to a ``digest`` row is
-    taken from it, and only the others are parsed, in this process."""
+    ``_cpus()`` threads; one that hashes to a ``digest`` row is taken from
+    it, and only the others are parsed, in this process."""
     usable = [i for i, cell in enumerate(cells) if cell["status"] == "ok" and (bundle_dir / cell["file"]).is_file()]
-    shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], resolve_workers(0))
+    shas = _hash_files([bundle_dir / cells[i]["file"] for i in usable], _cpus())
     reduced: list[Optional[tuple[bytes, _Reduction]]] = [None] * len(cells)
     for i, sha in zip(usable, shas):
         reduced[i] = (sha, digest[sha]) if sha in digest else _reduce_cell(bundle_dir, cells[i], sha)
@@ -566,13 +559,12 @@ def final_bests(bundle_dir: Path, cell: dict) -> Optional[np.ndarray]:
     return None if reduced is None else reduced[1][0]
 
 
-def _write_curve_digest(path: Path, rows: Mapping[bytes, _Reduction]) -> None:
+def _write_curve_digest(path: Path, rows: Mapping[bytes, _Reduction], shape: tuple) -> None:
     """Save ``sha -> (finals, (mean, std))`` as four stacked arrays; rows
-    whose shapes differ from the first row's are left out, so their cells
-    are parsed, and the digest rewritten, at each analysis."""
-    shapes = [(f.size, m.size) for f, (m, _) in rows.values()]
-    rows = {sha: r for (sha, r), shape in zip(rows.items(), shapes) if shape == shapes[0]}
-    runs, length = shapes[0] if shapes else (0, 0)
+    whose (runs, generations) is not ``shape``, the bundle's, are left out,
+    so their cells are parsed, and the digest rewritten, at each analysis."""
+    rows = {sha: r for sha, r in rows.items() if (r[0].size, r[1][0].size) == shape}
+    runs, length = shape if rows else (0, 0)
     arrays = {
         "sha": np.array(list(rows), dtype="S32"),
         "finals": np.array([f for f, _ in rows.values()]).reshape(len(rows), runs),
@@ -599,6 +591,12 @@ def _load_curve_digest(path: Path) -> dict[bytes, _Reduction]:
     # tobytes keeps trailing NUL bytes, which indexing an S32 array strips.
     keys = sha.tobytes()
     return {keys[32 * i:32 * (i + 1)]: (finals[i], (mean[i], std[i])) for i in range(sha.size)}
+
+
+def operator_name(label: str) -> str:
+    """The operator an ``OPERATOR_ALIASES`` label names in any case, else the label upper-cased."""
+    kind = OPERATOR_ALIASES.get(label.upper())
+    return kind.value if kind else label.upper()
 
 
 @dataclass
@@ -630,9 +628,8 @@ def analyze(
 
     A cell whose trace file still hashes to a row of the curve digest
     ``curves.npz``, which ``run`` writes, is taken from that row. The traces
-    are hashed on as many threads as ``run`` uses worker processes
-    (``RCGA_WORKERS``, else the CPU count), and the others are parsed and
-    reduced in this process. The digest is rewritten, for
+    are hashed on one thread per CPU this process may run on, and the others
+    are parsed and reduced in this process. The digest is rewritten, for
     ``plot_convergence`` and the next ``analyze``, when its set of keys
     changed. The statistics and every written byte depend neither
     on the worker count nor on whether the digest was there.
@@ -646,9 +643,7 @@ def analyze(
     if manifest.get("kind") == "sweep":
         # Its cells differ only in rate, which the operator blocks cannot tell apart.
         raise ConfigError(f"{bundle_dir}: a sweep bundle is not analysed; its table is sweep.csv")
-    control_label = control_label.upper()
-    if control_label in OPERATOR_ALIASES:
-        control_label = OPERATOR_ALIASES[control_label].value
+    control_label = operator_name(control_label)
 
     cells = manifest["cells"]
     problems = sorted({c["problem"] for c in cells})
@@ -683,7 +678,7 @@ def analyze(
     _write_summary_csv(bundle_dir / "summary.csv", analyses, sig_figs)
     _write_dunnett_csv(bundle_dir / "dunnett.csv", analyses, control_label, sig_figs)
     if digest.keys() != stored.keys():  # a row is a pure function of its key
-        _write_curve_digest(digest_path, digest)
+        _write_curve_digest(digest_path, digest, (manifest.get("runs"), manifest.get("generations")))
     return analyses
 
 

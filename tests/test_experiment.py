@@ -35,7 +35,6 @@ from rcga.experiment import (
     parse_config,
     plot_convergence,
     read_trace_csv,
-    resolve_workers,
     run_experiment,
 )
 from rcga.operators import CrossoverKind, MutationKind
@@ -328,15 +327,31 @@ class TestSeedDerivation:
         assert ga.mutation.per_gene_rate == pytest.approx(0.1 / 30)
 
 
-class TestResolveWorkers:
-    def test_key_and_environment_values(self, monkeypatch):
-        monkeypatch.delenv("RCGA_WORKERS", raising=False)
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-        monkeypatch.setenv("RCGA_WORKERS", "2")
-        assert resolve_workers(3) == 2
-        monkeypatch.setenv("RCGA_WORKERS", "0")
-        assert resolve_workers(3) == (os.cpu_count() or 1)
+class TestWorkerCount:
+    """The ``workers`` key sizes the run's pool; 0 takes the CPUs the process
+    may run on, which ``analyze`` and ``plot`` also hash on."""
+
+    def test_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert experiment._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert experiment._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert experiment._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._cpus() == 1
+
+    @pytest.mark.parametrize("workers, cpus, pools", [("0", 1, []), ("0", 2, [2]), ("3", 1, [3])],
+                             ids=["zero_on_one_cpu", "zero_on_two_cpus", "key_on_one_cpu"])
+    def test_pool_size(self, tmp_path, monkeypatch, workers, cpus, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        started = []
+        start_pool = experiment._process_pool
+        monkeypatch.setattr(experiment, "_process_pool", lambda n: started.append(n) or start_pool(n))
+        bundle = run_experiment(write_config(tmp_path / "a.cfg", workers=workers))  # 2 cells x 3 runs
+        assert started == pools
+        assert [c["status"] for c in load_manifest(bundle)["cells"]] == ["ok", "ok"]
 
 
 class TestRunExperiment:
@@ -533,6 +548,7 @@ def write_bundle(bundle: Path, finals: dict, failed=()) -> Path:
         cells.append({"index": index, "problem": problem, "operator": operator, "mutation": "GM",
                       "rate": None, "label": f"{operator}-GM", "file": name, "status": status})
     manifest = {"format": "rcga-bundle-v1", "kind": "experiment", "alpha": 0.05,
+                "runs": max(map(len, finals.values())), "generations": 1,
                 "mc_seed": 3, "mc_samples": 10000, "cells": cells}
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     return bundle
@@ -753,7 +769,6 @@ class TestCurveDigest:
         parsed = []
         real = experiment.read_trace_csv
         monkeypatch.setattr(experiment, "read_trace_csv", lambda path: parsed.append(path) or real(path))
-        monkeypatch.setenv("RCGA_WORKERS", "1")
         return parsed
 
     @staticmethod
@@ -762,7 +777,7 @@ class TestCurveDigest:
         hashed = []
         real = experiment._file_sha256
         monkeypatch.setattr(experiment, "_file_sha256", lambda path: hashed.append(Path(path).name) or real(path))
-        monkeypatch.setenv("RCGA_WORKERS", "1")
+        monkeypatch.setattr(experiment, "_cpus", lambda: 1)
         return hashed
 
     def test_plot_from_digest_is_byte_identical(self, tmp_path):
@@ -847,6 +862,17 @@ class TestCurveDigest:
         plot_convergence(bundle)
         assert parsed == [bundle / load_manifest(bundle)["cells"][0]["file"]]
 
+    def test_trace_of_another_run_count_keeps_the_other_rows(self, tmp_path, monkeypatch):
+        bundle = self.bundle(tmp_path)
+        edited = bundle / load_manifest(bundle)["cells"][0]["file"]
+        lines = edited.read_text().splitlines()
+        edited.write_text("\n".join(line for line in lines if not line.startswith("3,")) + "\n")
+        analyze(bundle)
+        parsed = self.count_parses(monkeypatch)
+        analyze(bundle)
+        assert parsed == [edited]
+        assert len(_load_curve_digest(bundle / CURVES_NAME)) == 3
+
     def test_plot_of_an_unanalysed_bundle_writes_no_digest(self, tmp_path):
         bundle = self.cold_bundle(tmp_path)
         assert len(plot_convergence(bundle)) == 2
@@ -862,7 +888,6 @@ class TestCurveDigest:
             return real(path)
 
         monkeypatch.setattr(experiment, "read_trace_csv", counting)
-        monkeypatch.setenv("RCGA_WORKERS", "1")  # the parses are counted in this process
         analyze(bundle)
         plot_convergence(bundle)
         files = [c["file"] for c in load_manifest(bundle)["cells"]]
@@ -894,7 +919,7 @@ class TestCurveDigest:
     def test_keys_with_trailing_nul_bytes_round_trip(self, tmp_path):
         rows = {bytes(31) + b"\x01": (np.array([2.0, np.inf]), (np.arange(3.0), np.ones(3))),
                 b"\xff" * 30 + bytes(2): (np.array([np.nan, -0.0]), (np.zeros(3), np.zeros(3)))}
-        _write_curve_digest(tmp_path / CURVES_NAME, rows)
+        _write_curve_digest(tmp_path / CURVES_NAME, rows, (2, 3))
         loaded = _load_curve_digest(tmp_path / CURVES_NAME)
         assert set(loaded) == set(rows)
         for sha, (finals, (mean, std)) in rows.items():
@@ -920,7 +945,7 @@ class TestCurveDigest:
         for cell in manifest["cells"][:2]:  # unusable cells have no row, and parse nothing
             cell["status"] = "failed: run 1: boom"
         (bundle / "manifest.json").write_text(json.dumps(manifest))
-        monkeypatch.setenv("RCGA_WORKERS", "2")
+        monkeypatch.setattr(experiment, "_cpus", lambda: 2)
         analyze(bundle)
         first = self.tables(bundle)
 
@@ -935,7 +960,8 @@ class TestCurveDigest:
         bundle = self.cold_bundle(tmp_path)
         writes = []
         real = experiment._write_curve_digest
-        monkeypatch.setattr(experiment, "_write_curve_digest", lambda path, rows: writes.append(len(rows)) or real(path, rows))
+        monkeypatch.setattr(experiment, "_write_curve_digest",
+                            lambda path, rows, shape: writes.append(len(rows)) or real(path, rows, shape))
         analyze(bundle)
         analyze(bundle, alpha=0.2)
         assert writes == [4]
@@ -1009,8 +1035,8 @@ class TestCurveDigest:
 
 
 class TestAnalyzeWorkers:
-    """``analyze`` hashes the trace files on ``resolve_workers(0)`` threads and
-    parses in its own process; nothing it returns or writes depends on that."""
+    """``analyze`` hashes the trace files on ``_cpus()`` threads and parses in
+    its own process; nothing it returns or writes depends on that."""
 
     @staticmethod
     def bundle(tmp_path) -> Path:
@@ -1029,8 +1055,8 @@ class TestAnalyzeWorkers:
 
         monkeypatch.setattr(experiment, "_process_pool", counting_pool)
         outputs = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("RCGA_WORKERS", workers)
+        for workers in (1, 2):
+            monkeypatch.setattr(experiment, "_cpus", lambda n=workers: n)
             copy = shutil.copytree(bundle, tmp_path / f"workers-{workers}")
             (copy / CURVES_NAME).unlink()
             plot_convergence(copy, output=copy / "cold")  # no digest: every trace parsed
@@ -1046,7 +1072,7 @@ class TestAnalyzeWorkers:
                 {name: data for name, data in files.items() if name.endswith(".svg")}
             outputs[workers] = files, arrays
         assert pools == []  # the read side starts no process pool
-        (files_1, arrays_1), (files_2, arrays_2) = outputs["1"], outputs["2"]
+        (files_1, arrays_1), (files_2, arrays_2) = outputs[1], outputs[2]
         assert files_1 == files_2 and {"summary.csv", "dunnett.csv", "convergence_p09.svg"} <= set(files_1)
         assert arrays_1.keys() == arrays_2.keys() == {"sha", "finals", "mean", "std"}
         for key in arrays_1:
@@ -1064,7 +1090,7 @@ class TestAnalyzeWorkers:
         assert experiment._hash_files(paths, workers) == list(map(real, paths)) and len(paths) == 12
         assert sorted(hashed) == sorted(p.name for p in paths)
         hashed.clear()
-        monkeypatch.setenv("RCGA_WORKERS", str(workers))
+        monkeypatch.setattr(experiment, "_cpus", lambda: workers)
         analyze(bundle)
         assert sorted(hashed) == sorted(p.name for p in paths)
         assert TestCurveDigest.tables(bundle) == tables
@@ -1072,7 +1098,7 @@ class TestAnalyzeWorkers:
     def test_same_size_rewrite_in_a_helper_threads_part_is_parsed_again(self, tmp_path, monkeypatch):
         bundle = self.bundle(tmp_path)
         parsed = TestCurveDigest.count_parses(monkeypatch)
-        monkeypatch.setenv("RCGA_WORKERS", "2")
+        monkeypatch.setattr(experiment, "_cpus", lambda: 2)
         analyze(bundle)
         svgs = {p.name: p.read_bytes() for p in plot_convergence(bundle, output=tmp_path / "before")}
         TestCurveDigest.flip_exponent_signs(bundle, -1)  # the second half of the cells is a helper thread's
@@ -1095,8 +1121,8 @@ class TestAnalyzeWorkers:
         lines[5] = "2,1,two"
         path.write_text("\n".join(lines) + "\n")
         messages = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("RCGA_WORKERS", workers)
+        for workers in (1, 2):
+            monkeypatch.setattr(experiment, "_cpus", lambda n=workers: n)
             with pytest.raises(ValueError) as info:
                 analyze(bundle)
             assert type(info.value) is ValueError
@@ -1112,7 +1138,7 @@ class TestAnalyzeWorkers:
             raise AssertionError("a process pool was started for one cell")
 
         monkeypatch.setattr(experiment, "_process_pool", no_pool)
-        monkeypatch.setenv("RCGA_WORKERS", "2")
+        monkeypatch.setattr(experiment, "_cpus", lambda: 2)
         [analysis] = analyze(bundle)
         assert [op for op, values in analysis.groups if values is not None] == ["PSOX"]
 
@@ -1158,7 +1184,6 @@ class TestSweep:
         started = []
         start_pool = experiment._process_pool
         monkeypatch.setattr(experiment, "_process_pool", lambda n: started.append(n) or start_pool(n))
-        monkeypatch.delenv("RCGA_WORKERS", raising=False)
 
         def never(*args):
             raise AssertionError("the sweep read a trace back")
@@ -1222,35 +1247,17 @@ class TestCli:
         assert "manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "workers, env, message",
+        "workers, message",
         [
-            (-3, "", "a.cfg: workers: must be >= 0"),
-            (1, "abc", "RCGA_WORKERS: must be an integer >= 0, got 'abc'"),
-            (1, "-1", "RCGA_WORKERS: must be an integer >= 0, got '-1'"),
+            (-3, "a.cfg: workers: must be >= 0"),
+            ("two", "a.cfg: workers: invalid literal for int() with base 10: 'two'"),
         ],
-        ids=["key_negative", "env_word", "env_negative"],
+        ids=["key_negative", "key_word"],
     )
-    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers, env, message):
-        monkeypatch.setenv("RCGA_WORKERS", env)
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers, message):
         assert main(["run", str(write_config(tmp_path / "a.cfg", workers=workers))]) == 2
         assert message in capsys.readouterr().err
-        assert not list((tmp_path / "bundle").glob("*"))
-
-    def test_bad_worker_count_exits_2_from_plot(self, tmp_path, capsys, monkeypatch):
-        bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
-        before = sorted(bundle.iterdir())
-        monkeypatch.setenv("RCGA_WORKERS", "-2")
-        assert main(["plot", str(bundle)]) == 2
-        assert "RCGA_WORKERS: must be an integer >= 0, got '-2'" in capsys.readouterr().err
-        assert sorted(bundle.iterdir()) == before
-
-    def test_bad_worker_count_exits_2_from_analyze(self, tmp_path, capsys, monkeypatch):
-        bundle = run_experiment(write_config(tmp_path / "a.cfg", runs=4))
-        before = sorted(bundle.iterdir())
-        monkeypatch.setenv("RCGA_WORKERS", "two")
-        assert main(["analyze", str(bundle)]) == 2
-        assert "RCGA_WORKERS: must be an integer >= 0, got 'two'" in capsys.readouterr().err
-        assert sorted(bundle.iterdir()) == before
+        assert not (tmp_path / "bundle").exists()
 
     def test_lost_trace_file_is_skipped_by_analyze_and_plot(self, tmp_path, capsys):
         assert main(["run", str(write_config(tmp_path / "a.cfg", runs=4))]) == 0
@@ -1305,6 +1312,13 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (bundle / "summary.csv").exists() and not (bundle / "dunnett.csv").exists()
 
+    @pytest.mark.parametrize("operators, control, name", [("PSOX, AX", "ax", "AX"), ("PSOX, LX", "lx", "LAPLACE")],
+                             ids=["ax", "lx"])
+    def test_analyze_prints_the_control_it_tested_against(self, tmp_path, capsys, operators, control, name):
+        assert main(["run", str(write_config(tmp_path / "a.cfg", operators=operators, runs=4))]) == 0
+        assert main(["analyze", str(tmp_path / "bundle"), "--control", control]) == 0
+        assert f"larger than {name}'s (control" in capsys.readouterr().out
+
     def test_bad_plot_problems_is_a_usage_error(self, tmp_path, capsys):
         assert main(["run", str(write_config(tmp_path / "a.cfg"))]) == 0
         with pytest.raises(SystemExit) as exit_info:
@@ -1328,13 +1342,13 @@ class TestCli:
         assert "argument --problems: invalid value '99': unknown benchmark problem id 99" in capsys.readouterr().err
         assert not list((tmp_path / "bundle").glob("*.svg"))
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_pipe_exits_without_traceback(self, unbuffered):
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_without_traceback(self, flags):
         # Buffered, the write fails in the final flush; unbuffered, in the first print.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
-               "PYTHONUNBUFFERED": unbuffered}
-        with subprocess.Popen([sys.executable, "-m", "rcga", "list-benchmarks"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        # -E ignores a PYTHONUNBUFFERED the caller set; run from the source
+        # directory, -m imports this checkout's package.
+        with subprocess.Popen([sys.executable, "-E", *flags, "-m", "rcga", "list-benchmarks"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=SRC) as proc:
             proc.stdout.close()  # the reader is gone before the first line is written
             err = proc.stderr.read().decode()
         assert proc.returncode == 1

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -30,6 +29,10 @@ from rcga.stats import (
     kruskal_wallis,
     summarize,
 )
+
+# The directory holding the imported package; a ``python -c`` script run from
+# it imports this package first.
+SRC = Path(rcga.__file__).resolve().parents[1]
 
 
 def groups(*value_lists, labels=None):
@@ -254,9 +257,8 @@ print(json.dumps({"seen": seen, "methods": [a.report.kw_method for a in analyses
             "population_size = 16\ngenerations = 8\nruns = 10\nseed = 5\nworkers = 1\n"
             f"output_dir = {tmp_path / 'bundle'}\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(rcga.__file__).resolve().parents[1]))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(config)], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", self.SCRIPT, str(config)], capture_output=True, text=True, cwd=SRC, timeout=120
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)
@@ -291,11 +293,9 @@ print(json.dumps(seen))
             "population_size = 16\ngenerations = 8\nruns = 3\nseed = 5\nworkers = 2\n"
             f"output_dir = {tmp_path / 'pooled'}\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(rcga.__file__).resolve().parents[1]))
-        env.pop("RCGA_WORKERS", None)
         done = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(config), str(tmp_path / "single")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, cwd=SRC, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         # The pool's workers draw, so the pooled bundle is whole, yet the parent never loaded it.
