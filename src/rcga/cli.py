@@ -7,11 +7,12 @@ Subcommands:
     sweep <config> [--scale paper|desk]    mutation-rate sweep (PSOX-GM)
     list-benchmarks                        registry overview
 
-``run`` and ``sweep`` write each cell's trace CSV as soon as the cell's runs
-finish, then the bundle manifest, then the ``curves.npz`` digest of each
-trace's reduction, computed from the values as written. The config's
-``workers`` key sets their worker count, an integer >= 0, where 0 means
-one per CPU the process may run on. ``analyze`` and ``plot`` hash the trace
+``run`` and ``sweep`` read a config and their flags the same way. They
+write each cell's trace CSV as soon as the cell's runs finish, then the
+bundle manifest, then the ``curves.npz`` digest of each trace's reduction,
+computed from the values as written. The config's ``workers`` key sets
+their worker count, an integer >= 0, where 0 means one per CPU the process
+may run on. ``analyze`` and ``plot`` hash the trace
 files against the digest on one thread per such CPU; they parse, in one
 process, only the files no digest row matches, and their outputs depend
 on neither count. ``sweep`` reads nothing back: its table
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from . import benchmarks
 from .experiment import (
+    SCALE_PRESETS,
     ConfigError,
     analyze,
     format_sci,
@@ -43,12 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcga", description="Real-coded GA benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute all runs of an experiment config")
-    p_run.add_argument("config", type=Path)
-    p_run.add_argument("--scale", choices=["paper", "desk"],
-                       help="set the config's scale key; its explicit population_size/generations/runs keys still win")
-    p_run.add_argument("--output-dir", type=Path, help="override the bundle directory")
-    p_run.set_defaults(handler=_cmd_run)
+    _add_config_command(sub, "run", "execute all runs of an experiment config", run_experiment, "bundle")
 
     p_an = sub.add_parser("analyze", help="summaries plus Kruskal-Wallis and Dunnett tables")
     p_an.add_argument("bundle", type=Path)
@@ -65,26 +62,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--output", type=Path, help="directory for the SVG files")
     p_plot.set_defaults(handler=_cmd_plot)
 
-    p_sweep = sub.add_parser("sweep", help="mutation-rate sweep with the PSOX-GM configuration")
-    p_sweep.add_argument("config", type=Path)
-    p_sweep.add_argument("--scale", choices=["paper", "desk"],
-                         help="set the config's scale key; it replaces the sweep's defaults; the file's keys still win")
-    p_sweep.add_argument("--output-dir", type=Path)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    _add_config_command(sub, "sweep", "mutation-rate sweep with the PSOX-GM configuration", mutation_sweep, "sweep")
 
     p_list = sub.add_parser("list-benchmarks", help="show the benchmark registry")
     p_list.set_defaults(handler=_cmd_list_benchmarks)
     return parser
 
 
-def _overrides(args) -> dict:
-    """The ``run``/``sweep`` flags as config overrides; ``parse_config`` skips the unset (None) ones."""
-    return {"scale": args.scale, "output_dir": args.output_dir}
+def _add_config_command(sub, name: str, help_text: str, execute, written: str) -> None:
+    """A subcommand that reads a config as ``run`` does and passes it to ``execute``."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("config", type=Path)
+    parser.add_argument("--scale", choices=list(SCALE_PRESETS),
+                        help="set the config's scale key; its explicit population_size/generations/runs keys still win")
+    parser.add_argument("--output-dir", type=Path, help="override the bundle directory")
+    parser.set_defaults(handler=_cmd_config, execute=execute, written=written)
 
 
-def _cmd_run(args) -> int:
-    bundle = run_experiment(args.config, _overrides(args))
-    print(f"bundle written to {bundle}")
+def _cmd_config(args) -> int:
+    """Run ``args.execute`` on the config with the flags as overrides; ``parse_config`` skips the unset (None) ones."""
+    bundle = args.execute(args.config, {"scale": args.scale, "output_dir": args.output_dir})
+    print(f"{args.written} written to {bundle}")
     return 0
 
 
@@ -119,12 +117,6 @@ def _cmd_plot(args) -> int:
     written = plot_convergence(args.bundle, problems=args.problems, output=args.output)
     for path in written:
         print(path)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    bundle = mutation_sweep(args.config, _overrides(args))
-    print(f"sweep written to {bundle}")
     return 0
 
 

@@ -198,17 +198,13 @@ def _config_keys() -> dict:
 _CONFIG_KEYS = _config_keys()
 
 
-def parse_config(
-    path: Path | str,
-    overrides: Optional[dict] = None,
-    defaults: Optional[dict] = None,
-) -> ExperimentConfig:
+def parse_config(path: Path | str, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read a flat key=value config file into an ExperimentConfig.
 
-    Keys are applied in the order: ``defaults``, then the population,
-    generations and runs preset of a ``scale`` entry, then the file's keys,
-    then ``overrides`` (e.g. from CLI flags); a later source wins. A key
-    given twice in the file, in any case, is an error.
+    Keys are applied in the order: the ``ExperimentConfig`` defaults, then
+    the population, generations and runs preset of a ``scale`` entry, then
+    the file's keys, then ``overrides`` (e.g. from CLI flags); a later source
+    wins. A key given twice in the file, in any case, is an error.
     """
     path = Path(path)
     if not path.is_file():
@@ -233,7 +229,7 @@ def parse_config(
     if scale is not None and scale not in SCALE_PRESETS:
         raise ConfigError(f"{path}: scale: must be one of {sorted(SCALE_PRESETS)}, got {scale!r}")
     preset = dict(zip(("population_size", "generations", "runs"), SCALE_PRESETS[scale])) if scale else {}
-    raw = {**{k.lower(): str(v) for k, v in (defaults or {}).items()}, **preset, **raw}
+    raw = {**preset, **raw}
 
     values: dict[str, dict] = {"experiment": {"name": raw.pop("name", path.stem)}, "crossover": {}, "mutation": {}}
     experiment = values["experiment"]
@@ -764,14 +760,11 @@ def plot_convergence(
 # Mutation-rate sweep
 
 
-SWEEP_DEFAULTS = {"problems": "4,5,7,11", "population_size": "100", "generations": "100"}
-
-
 def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """PSOX-GM runs across the configured mutation rates; emits sweep.csv and
     panels from the finals of the digest rows the runs' writer returns,
     reading no trace back."""
-    cfg = parse_config(config_path, overrides, defaults=SWEEP_DEFAULTS)
+    cfg = parse_config(config_path, overrides)
     cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
     rows = _persist_bundle(cfg, "sweep", cells)
     out = cfg.output_dir

@@ -122,11 +122,10 @@ def ax_crossover(p1: RealVector, p2: RealVector, alpha: float) -> RealVector:
 
 
 def fx_crossover(p1: RealVector, p2: RealVector, rng: np.random.Generator) -> RealVector:
-    """Flat crossover: each gene uniform on the interval spanned by the parents."""
+    """Flat crossover: each gene uniform on the interval spanned by the parents,
+    i.e. BLX-alpha at alpha = 0."""
     _check_pair(p1, p2, "fx_crossover")
-    lo = np.minimum(p1, p2)
-    hi = np.maximum(p1, p2)
-    return lo + rng.random(lo.shape) * (hi - lo)
+    return blx_alpha_crossover(p1, p2, 0.0, rng)
 
 
 def blx_alpha_crossover(p1: RealVector, p2: RealVector, alpha: float, rng: np.random.Generator) -> RealVector:

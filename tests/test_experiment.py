@@ -18,7 +18,6 @@ from rcga.cli import main
 from rcga.engine import RunTrace
 from rcga.experiment import (
     CURVES_NAME,
-    SWEEP_DEFAULTS,
     _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -165,16 +164,19 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("scale, sizes", [("paper", (300, 1000, 30)), ("desk", (100, 300, 10))])
     def test_scale_preset_wins_over_the_sweep_defaults(self, tmp_path, scale, sizes):
+        # A sweep config reads the same defaults as a run config: ExperimentConfig's,
+        # then the preset, then the file's keys, then the overrides.
         path = tmp_path / "s.cfg"
         path.write_text("name = s\nproblems = 9\nmutation_rates = 0.1, 1.0\n")
-        cfg = parse_config(path, {"scale": scale}, defaults=SWEEP_DEFAULTS)
-        assert (cfg.population_size, cfg.generations, cfg.runs) == sizes
-        assert (parse_config(path, defaults=SWEEP_DEFAULTS).generations, cfg.problems) == (100, (9,))
-        # A key the file sets still wins over the preset, and an override over both.
+        cfg = parse_config(path)
+        assert (cfg.population_size, cfg.generations, cfg.runs) == (300, 1000, 30)  # ExperimentConfig's defaults
+        cfg = parse_config(path, {"scale": scale})
+        assert (cfg.population_size, cfg.generations, cfg.runs, cfg.problems) == (*sizes, (9,))
+        # A key the file sets wins over the preset, and an override over both.
         path.write_text(path.read_text() + "generations = 7\nruns = 4\n")
-        cfg = parse_config(path, {"scale": scale}, defaults=SWEEP_DEFAULTS)
+        cfg = parse_config(path, {"scale": scale})
         assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 4)
-        cfg = parse_config(path, {"scale": scale, "runs": 2}, defaults=SWEEP_DEFAULTS)
+        cfg = parse_config(path, {"scale": scale, "runs": 2})
         assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 2)
 
     def test_operator_aliases(self, tmp_path):
@@ -1198,16 +1200,6 @@ class TestSweep:
         sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
         assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
-    def test_sweep_defaults_applied(self, tmp_path):
-        path = tmp_path / "s.cfg"
-        path.write_text(
-            "name = s\nruns = 2\ngenerations = 4\npopulation_size = 12\nworkers = 1\n"
-            f"output_dir = {tmp_path / 'b'}\nseed = 3\n"
-        )
-        bundle = mutation_sweep(path)
-        manifest = load_manifest(bundle)
-        assert sorted({c["problem"] for c in manifest["cells"]}) == [4, 5, 7, 11]
-
 
 class TestCli:
     def test_run_analyze_plot_pipeline(self, tmp_path, capsys):
@@ -1241,6 +1233,14 @@ class TestCli:
         path = write_config(tmp_path / "a.cfg", runs="0")
         assert main(["run", str(path)]) == 2
         assert "runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_without_problems_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "a.cfg")
+        path.write_text("".join(line for line in path.read_text().splitlines(True) if not line.startswith("problems")))
+        assert main([command, str(path)]) == 2
+        assert "a.cfg: problems: required key is missing" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
 
     def test_missing_bundle_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 1
