@@ -20,6 +20,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _validate(cfg, rules) -> None:
+    """Raise ``ValueError("key: message")`` for the first non-finite float field
+    of the dataclass ``cfg``, else for the first ``(key, ok, message)`` rule that fails."""
+    for key, value in vars(cfg).items():
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ValueError(f"{key}: must be finite")
+    for key, ok, message in rules:
+        if not ok:
+            raise ValueError(f"{key}: {message}")
+
+
 @dataclass(frozen=True)
 class Bounds:
     """The box [lower, upper]^dimension: every gene searches the same interval."""
@@ -29,12 +40,10 @@ class Bounds:
     dimension: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError("bounds: lower and upper must be finite")
-        if not self.lower < self.upper:
-            raise ValueError("bounds: lower must lie strictly below upper")
-        if self.dimension < 1:
-            raise ValueError("bounds: dimension must be at least 1")
+        _validate(self, (
+            ("lower", self.lower < self.upper, "must lie strictly below upper"),
+            ("dimension", self.dimension >= 1, "must be at least 1"),
+        ))
 
     @property
     def span(self) -> float:

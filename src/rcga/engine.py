@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import benchmarks
-from .core import ObjectiveSpec, make_rng
+from .core import ObjectiveSpec, _validate, make_rng
 from .operators import (
     CrossoverConfig,
     CrossoverKind,
@@ -79,18 +79,15 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be positive")
-        if self.crossover.kind is CrossoverKind.PSOX and self.population_size < 2:
-            raise ValueError("PSOX needs a population of at least 2 (partner slot must differ)")
-        if self.generations < 0:
-            raise ValueError("generations must be non-negative")
-        if self.selection_k < 1:
-            raise ValueError("selection_k must be at least 1")
-        if not 0 <= self.elitism <= self.population_size:
-            raise ValueError("elitism must lie in [0, population_size]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _validate(self, (
+            ("population_size", self.population_size >= 1, "must be positive"),
+            ("population_size", self.population_size >= 2 or self.crossover.kind is not CrossoverKind.PSOX,
+             "must be at least 2 for PSOX (the partner slot must differ)"),
+            ("generations", self.generations >= 0, "must be non-negative"),
+            ("selection_k", self.selection_k >= 1, "must be at least 1"),
+            ("elitism", 0 <= self.elitism <= self.population_size, "must lie in [0, population_size]"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+        ))
 
 
 @dataclass

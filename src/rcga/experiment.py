@@ -22,13 +22,15 @@ import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping, Optional, Sequence
+from typing import IO, Callable, Iterator, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import benchmarks, svgplot
+from .core import _validate
 from .engine import GaConfig, RunTrace, run_ga
 from .operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
 from .stats import FLAG_NOT_RUN, SampleGroup, StatReport, build_report, summarize
@@ -88,20 +90,19 @@ class ExperimentConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
 
     def __post_init__(self):
-        for key, ok, message in (
+        _validate(self, (
             ("runs", self.runs >= 1, "must be >= 1"),
             ("population_size", self.population_size >= 2, "must be >= 2"),
             ("generations", self.generations >= 1, "must be >= 1"),
             ("dimension", self.dimension >= 2, "must be >= 2 (chained benchmarks need two genes)"),
             ("mutation_rate", 0.0 <= self.mutation_rate <= 1.0, "must lie in [0, 1]"),
+            ("mutation_rates", all(0.0 <= r <= 1.0 for r in self.mutation_rates), "must lie in [0, 1]"),
             ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
             ("selection_k", self.selection_k >= 1, "must be >= 1"),
             ("elitism", 0 <= self.elitism <= self.population_size, "must lie in [0, population_size]"),
             ("seed", self.seed >= 0, "must be non-negative"),
             ("workers", self.workers >= 0, "must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{key}: {message}")
+        ))
 
 
 def format_sci(value: float, sig: int = 6) -> str:
@@ -115,10 +116,14 @@ def format_sci(value: float, sig: int = 6) -> str:
 # Config parsing
 
 
-def _no_repeats(items: list, what: str, ident=str) -> tuple:
-    """``items`` as a tuple; a repeat would make two cells write one trace file."""
+def _list(raw: str, parse_token: Callable[[str], Sequence], what: str) -> tuple:
+    """The items ``parse_token`` reads from the non-empty comma-separated tokens: one at least,
+    and none repeated as a trace file name spells it (a kind's value, a number's ``{:g}``)."""
+    items = [item for token in raw.split(",") if token.strip() for item in parse_token(token.strip())]
+    if not items:
+        raise ValueError(f"no {what}s given")
     seen = set()
-    for name in map(ident, items):
+    for name in (item.value if isinstance(item, Enum) else f"{item:g}" for item in items):
         if name in seen:
             raise ValueError(f"{what} {name} is listed twice")
         seen.add(name)
@@ -127,46 +132,39 @@ def _no_repeats(items: list, what: str, ident=str) -> tuple:
 
 def parse_problems(raw: str) -> tuple[int, ...]:
     """Accept ids, id ranges ("1-15") and registry names, comma-separated."""
-    out: list[int] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        parts = token.split("-")
-        if len(parts) == 2 and all(p.strip().isdigit() for p in parts):
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError(f"reversed range {token}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(benchmarks.resolve_problem_id(token))
-    if not out:
-        raise ValueError("no problem ids given")
-    for pid in out:
-        if pid not in benchmarks.REGISTRY:
-            raise ValueError(f"unknown problem id {pid}")
-    return _no_repeats(out, "problem")
+
+    def ids(token: str) -> list[int]:
+        lo, _, hi = token.partition("-")
+        if not (lo.strip().isdigit() and hi.strip().isdigit()):
+            return [benchmarks.resolve_problem_id(token)]
+        if int(lo) > int(hi):
+            raise ValueError(f"reversed range {token}")
+        return [benchmarks.resolve_problem_id(pid) for pid in range(int(lo), int(hi) + 1)]
+
+    return _list(raw, ids, "problem")
 
 
-def _parse_kinds(raw: str, names: Mapping, what: str) -> tuple:
-    """Comma-separated kinds looked up, upper-cased, in ``names`` (alias or member name -> kind)."""
-    kinds = []
-    for token in raw.split(","):
-        key = token.strip().upper()
-        if key not in names:
-            raise ValueError(f"unknown {what} {token.strip()!r}")
-        kinds.append(names[key])
-    return _no_repeats(kinds, what, lambda kind: kind.value)
+def _parser(hint, key: str) -> Callable[[str], object]:
+    """The parser of a value for a field annotated ``hint``: ``int``, ``float`` and ``Path``
+    as themselves, a kind upper-cased in ``OPERATOR_ALIASES`` or its enum's members,
+    ``tuple[T, ...]`` by ``_list``. Any other type is a ``TypeError``, so that no new
+    field is read by a constructor that takes any text: ``bool("false")`` is true."""
+    what = key.rsplit("_", 1)[-1].removesuffix("s")  # "mutation_rates" -> "rate"
+    if hint in (int, float, Path):
+        return hint
+    if hint in (CrossoverKind, MutationKind):
+        names = OPERATOR_ALIASES if hint is CrossoverKind else hint.__members__
 
+        def kind(token: str):
+            if token.upper() not in names:
+                raise ValueError(f"unknown {what} {token!r}")
+            return names[token.upper()]
 
-def _parse_rates(raw: str) -> tuple[float, ...]:
-    rates = [float(tok) for tok in raw.split(",") if tok.strip()]
-    if not rates:
-        raise ValueError("no rates given")
-    for r in rates:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"rate {r} outside [0, 1]")
-    return _no_repeats(rates, "rate", lambda r: f"{r:g}")  # the trace file name's format
+        return kind
+    if get_origin(hint) is tuple and get_args(hint)[1:] == (...,):
+        item = _parser(get_args(hint)[0], key)
+        return lambda raw: _list(raw, lambda token: [item(token)], what)
+    raise TypeError(f"{key}: no config parser for a field annotated {hint}")
 
 
 def _config_keys() -> dict:
@@ -174,37 +172,39 @@ def _config_keys() -> dict:
 
     The operator keys are the fields of ``CrossoverConfig`` and
     ``MutationConfig``; the harness sets ``kind`` and ``per_gene_rate`` per
-    cell. Other values are parsed by the type of the field's default.
+    cell. A value is parsed by its field's annotation, ``problems`` by ``parse_problems``.
     """
-    special = {
-        "problems": parse_problems,
-        "operators": partial(_parse_kinds, names=OPERATOR_ALIASES, what="operator"),
-        "mutations": partial(_parse_kinds, names=MutationKind.__members__, what="mutation"),
-        "mutation_rates": _parse_rates,
-    }
     keys = {}
     for target, cls, skip in (
         ("experiment", ExperimentConfig, {"name", "crossover", "mutation"}),
         ("crossover", CrossoverConfig, {"kind"}),
         ("mutation", MutationConfig, {"kind", "per_gene_rate"}),
     ):
+        hints = get_type_hints(cls)
         for f in fields(cls):
             if f.name not in skip:
-                parse = special.get(f.name) or type(f.default)
+                parse = parse_problems if f.name == "problems" else _parser(hints[f.name], f.name)
                 keys[f.name] = (target, parse)
     return keys
 
 
 _CONFIG_KEYS = _config_keys()
 
+# Per bundle kind: the command that writes it and the keys it does not read.
+_UNREAD_KEYS = {
+    "experiment": ("run", {"mutation_rates"}),
+    "sweep": ("sweep", {"operators", "mutations", "mutation_rate"}),
+}
 
-def parse_config(path: Path | str, overrides: Optional[dict] = None) -> ExperimentConfig:
+
+def parse_config(path: Path | str, overrides: Optional[dict] = None, kind: str = "experiment") -> ExperimentConfig:
     """Read a flat key=value config file into an ExperimentConfig.
 
     Keys are applied in the order: the ``ExperimentConfig`` defaults, then
     the population, generations and runs preset of a ``scale`` entry, then
     the file's keys, then ``overrides`` (e.g. from CLI flags); a later source
-    wins. A key given twice in the file, in any case, is an error.
+    wins. A key given twice in the file, in any case, is an error, and so is
+    a key that the command writing a bundle of ``kind`` does not read.
     """
     path = Path(path)
     if not path.is_file():
@@ -248,6 +248,10 @@ def parse_config(path: Path | str, overrides: Optional[dict] = None) -> Experime
 
     if "problems" not in experiment:
         fail("problems", "required key is missing")
+    command, unread = _UNREAD_KEYS[kind]
+    for key in raw:
+        if key in unread:
+            fail(key, f"`{command}` does not read this key; `sweep` runs PSOX-GM at each rate in mutation_rates")
     try:  # surface range violations as config diagnostics
         return ExperimentConfig(
             **experiment,
@@ -479,7 +483,7 @@ def _persist_bundle(cfg: ExperimentConfig, kind: str, cells: Sequence[dict]) -> 
 
 def run_experiment(config_path: Path | str, overrides: Optional[dict] = None) -> Path:
     """Execute the full grid of a config file; returns the bundle directory."""
-    cfg = parse_config(config_path, overrides)
+    cfg = parse_config(config_path, overrides, "experiment")
     _persist_bundle(cfg, "experiment", experiment_cells(cfg.problems, cfg.operators, cfg.mutations))
     return cfg.output_dir
 
@@ -764,7 +768,7 @@ def mutation_sweep(config_path: Path | str, overrides: Optional[dict] = None) ->
     """PSOX-GM runs across the configured mutation rates; emits sweep.csv and
     panels from the finals of the digest rows the runs' writer returns,
     reading no trace back."""
-    cfg = parse_config(config_path, overrides)
+    cfg = parse_config(config_path, overrides, "sweep")
     cells = experiment_cells(cfg.problems, (CrossoverKind.PSOX,), (MutationKind.GM,), cfg.mutation_rates)
     rows = _persist_bundle(cfg, "sweep", cells)
     out = cfg.output_dir

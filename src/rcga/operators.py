@@ -25,12 +25,12 @@ archive maintained by the engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Bounds, RealVector
+from .core import Bounds, RealVector, _validate
 
 
 class CrossoverKind(str, Enum):
@@ -45,17 +45,6 @@ class CrossoverKind(str, Enum):
 class MutationKind(str, Enum):
     NUM = "NUM"
     GM = "GM"
-
-
-def _validate(cfg, rules) -> None:
-    """Raise for the first non-finite float field, else for the first failed range rule."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not np.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
-    for name, ok, message in rules:
-        if not ok:
-            raise ValueError(f"{name} {message}")
 
 
 @dataclass(frozen=True)

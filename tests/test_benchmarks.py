@@ -173,7 +173,7 @@ class TestRegistry:
         assert np.all(s7.optimum_location == 1.0)
 
     def test_spec_rejects_a_short_dimension(self):
-        with pytest.raises(ValueError, match="dimension must be at least 1"):
+        with pytest.raises(ValueError, match="dimension: must be at least 1"):
             benchmark_spec(9, dimension=0)
         with pytest.raises(ValueError, match="problem 5: invalid dimension 1"):
             benchmark_spec(5, dimension=1)

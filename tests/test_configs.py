@@ -7,10 +7,38 @@ from pathlib import Path
 import pytest
 
 from rcga import benchmarks
-from rcga.experiment import load_manifest, parse_config, read_trace_csv, run_experiment
-from rcga.operators import CrossoverKind, MutationKind
+from rcga.experiment import ExperimentConfig, load_manifest, parse_config, read_trace_csv, run_experiment
+from rcga.operators import CrossoverConfig, CrossoverKind, MutationConfig, MutationKind
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+AX, FX, BLX, SBX, LX, PSOX = CrossoverKind
+NUM, GM = MutationKind
+
+
+def config(name, problems, operators, mutations, sizes, seed, dimension=30, workers=0):
+    """An ExperimentConfig with every field spelled out, the operator templates included."""
+    return ExperimentConfig(
+        name=name, problems=problems, dimension=dimension, operators=operators, mutations=mutations,
+        population_size=sizes[0], generations=sizes[1], runs=sizes[2], mutation_rate=0.1,
+        mutation_rates=(0.1, 0.4, 0.7, 1.0), selection_k=3, elitism=1, seed=seed, alpha=0.05, workers=workers,
+        output_dir=Path("results") / name,
+        crossover=CrossoverConfig(PSOX, 0.5, 0.5, 2.0, 0.0, 0.15, 0.6, 1.5, 1.5, 0.8),
+        mutation=MutationConfig(GM, 0.1, 0.05, 5.0),
+    )
+
+
+# Each shipped config, its kind and the ExperimentConfig it parsed to before
+# every key was parsed by its field's annotation.
+PINNED_CONFIGS = {
+    "experiment1.cfg": ("experiment", config("experiment1", tuple(range(1, 16)), (AX, FX, BLX, SBX, LX, PSOX),
+                                             (NUM, GM), (300, 1000, 30), 20240501)),
+    "experiment2.cfg": ("experiment", config("experiment2", (4, 5, 7, 11), (AX, LX, PSOX), (GM,), (100, 500, 30),
+                                             20240502)),
+    "experiment3.cfg": ("sweep", config("experiment3", (4, 5, 7, 11), (AX, FX, BLX, SBX, LX, PSOX), (NUM, GM),
+                                        (100, 100, 30), 20240503)),
+    "smoke.cfg": ("experiment", config("smoke", (9,), (PSOX,), (GM,), (30, 10, 2), 7, dimension=10, workers=1)),
+}
 
 
 class TestBundledConfigs:
@@ -30,9 +58,17 @@ class TestBundledConfigs:
         assert (cfg.population_size, cfg.generations, cfg.runs) == (100, 500, 30)
 
     def test_experiment3_sweep_setup(self):
-        cfg = parse_config(CONFIG_DIR / "experiment3.cfg")
+        cfg = parse_config(CONFIG_DIR / "experiment3.cfg", kind="sweep")
         assert cfg.mutation_rates == (0.1, 0.4, 0.7, 1.0)
         assert (cfg.population_size, cfg.generations, cfg.runs) == (100, 100, 30)
+
+    def test_every_config_is_pinned(self):
+        assert sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) == sorted(PINNED_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_config_parses_to_its_pinned_experiment_config(self, name):
+        kind, expected = PINNED_CONFIGS[name]
+        assert parse_config(CONFIG_DIR / name, kind=kind) == expected
 
     def test_smoke_config_runs_quickly(self, tmp_path):
         start = time.time()

@@ -55,10 +55,15 @@ def write_config(path: Path, **overrides) -> Path:
         "workers": "1",
         "output_dir": str(path.parent / "bundle"),
     }
-    base.update({k: str(v) for k, v in overrides.items()})
-    lines = [f"{k} = {v}" for k, v in base.items()]
+    base.update(overrides)
+    lines = [f"{k} = {v}" for k, v in base.items() if v is not None]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_sweep_config(path: Path, **overrides) -> Path:
+    """``write_config`` without the keys that only ``run`` reads."""
+    return write_config(path, **{"operators": None, "mutations": None, **overrides})
 
 
 def fail_problem(monkeypatch, problem: int) -> None:
@@ -163,20 +168,20 @@ class TestParseConfig:
         assert (cfg.population_size, cfg.generations, cfg.runs) == (100, 300, 10)
 
     @pytest.mark.parametrize("scale, sizes", [("paper", (300, 1000, 30)), ("desk", (100, 300, 10))])
-    def test_scale_preset_wins_over_the_sweep_defaults(self, tmp_path, scale, sizes):
+    def test_sweep_config_key_order(self, tmp_path, scale, sizes):
         # A sweep config reads the same defaults as a run config: ExperimentConfig's,
         # then the preset, then the file's keys, then the overrides.
         path = tmp_path / "s.cfg"
         path.write_text("name = s\nproblems = 9\nmutation_rates = 0.1, 1.0\n")
-        cfg = parse_config(path)
+        cfg = parse_config(path, kind="sweep")
         assert (cfg.population_size, cfg.generations, cfg.runs) == (300, 1000, 30)  # ExperimentConfig's defaults
-        cfg = parse_config(path, {"scale": scale})
+        cfg = parse_config(path, {"scale": scale}, "sweep")
         assert (cfg.population_size, cfg.generations, cfg.runs, cfg.problems) == (*sizes, (9,))
         # A key the file sets wins over the preset, and an override over both.
         path.write_text(path.read_text() + "generations = 7\nruns = 4\n")
-        cfg = parse_config(path, {"scale": scale})
+        cfg = parse_config(path, {"scale": scale}, "sweep")
         assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 4)
-        cfg = parse_config(path, {"scale": scale, "runs": 2})
+        cfg = parse_config(path, {"scale": scale, "runs": 2}, "sweep")
         assert (cfg.population_size, cfg.generations, cfg.runs) == (sizes[0], 7, 2)
 
     def test_operator_aliases(self, tmp_path):
@@ -203,11 +208,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"operators: unknown operator 'WAT'"):
             parse_config(path)
 
-    @pytest.mark.parametrize("key, what", [("operators", "operator"), ("mutations", "mutation")])
+    @pytest.mark.parametrize("key, what", [
+        ("problems", "problem"), ("operators", "operator"), ("mutations", "mutation"), ("mutation_rates", "rate"),
+    ])
     def test_empty_grid_list_diagnostic(self, tmp_path, key, what):
-        path = write_config(tmp_path / "a.cfg", **{key: ""})
-        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: unknown {what} ''"):
-            parse_config(path)
+        kind = "sweep" if key == "mutation_rates" else "experiment"
+        for value in ("", " , ,"):
+            path = (write_sweep_config if kind == "sweep" else write_config)(tmp_path / "a.cfg", **{key: value})
+            with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: no {what}s given$"):
+                parse_config(path, kind=kind)
+
+    @pytest.mark.parametrize("key, value, parsed", [
+        ("problems", "9, 1,", (9, 1)),
+        ("operators", "PSOX, AX,", (CrossoverKind.PSOX, CrossoverKind.AX)),
+        ("mutations", "GM,", (MutationKind.GM,)),
+        ("mutation_rates", "0.1, , 1.0,", (0.1, 1.0)),
+    ])
+    def test_empty_list_items_are_skipped(self, tmp_path, key, value, parsed):
+        kind = "sweep" if key == "mutation_rates" else "experiment"
+        path = (write_sweep_config if kind == "sweep" else write_config)(tmp_path / "a.cfg", **{key: value})
+        assert getattr(parse_config(path, kind=kind), key) == parsed
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "mutation_rates", "0.1"),
+        ("sweep", "operators", "PSOX"),
+        ("sweep", "mutations", "GM"),
+        ("sweep", "mutation_rate", "0.5"),
+    ])
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, key, value):
+        write = write_config if command == "run" else write_sweep_config
+        path = write(tmp_path / "a.cfg", **{key: value})
+        message = f"a.cfg: {key}: `{command}` does not read this key; `sweep` runs PSOX-GM at each rate in mutation_rates"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            parse_config(path, kind="experiment" if command == "run" else "sweep")
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
 
     def test_reversed_problem_range_rejected(self, tmp_path):
         path = write_config(tmp_path / "a.cfg", problems="5-3, 9")
@@ -252,6 +288,8 @@ class TestParseConfig:
             ("generations", 0, "must be >= 1"),
             ("dimension", 1, "must be >= 2 (chained benchmarks need two genes)"),
             ("mutation_rate", 1.5, "must lie in [0, 1]"),
+            ("mutation_rate", float("nan"), "must be finite"),
+            ("mutation_rates", (0.1, 1.5), "must lie in [0, 1]"),
             ("alpha", 1.0, "must lie in (0, 1)"),
             ("selection_k", 0, "must be >= 1"),
             ("elitism", 301, "must lie in [0, population_size]"),  # population_size is 300
@@ -288,10 +326,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", OPERATOR_KEYS)
     def test_non_finite_operator_value_rejected(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path / "a.cfg", **{key: value})
-        with pytest.raises(ConfigError, match=rf"a\.cfg: {key} must be finite"):
+        with pytest.raises(ConfigError, match=rf"a\.cfg: {key}: must be finite"):
             parse_config(path)
         assert main(["run", str(path)]) == 2
-        assert f"{key} must be finite" in capsys.readouterr().err
+        assert f"a.cfg: {key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
@@ -312,6 +350,28 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "none.cfg")
+
+
+class TestValueParser:
+    def test_an_annotation_without_a_parser_is_a_type_error(self):
+        # bool("false") is True, so a bool field needs a parser of its own.
+        for hint in (bool, str, tuple[bool, ...], tuple[int, int]):
+            with pytest.raises(TypeError, match="^rotate: no config parser"):
+                experiment._parser(hint, "rotate")
+
+    def test_rates_that_print_alike_are_a_repeat(self):
+        parse = experiment._parser(tuple[float, ...], "mutation_rates")
+        with pytest.raises(ValueError, match=r"^rate 0\.5 is listed twice$"):
+            parse("0.5, 0.5000001")
+        assert parse("0.5, 0.500001") == (0.5, 0.500001)
+
+    def test_kinds_resolve_through_the_aliases_in_any_case(self):
+        operators = experiment._parser(tuple[CrossoverKind, ...], "operators")
+        assert operators("lx, Blx-Alpha") == (CrossoverKind.LAPLACE, CrossoverKind.BLX_ALPHA)
+        mutations = experiment._parser(tuple[MutationKind, ...], "mutations")
+        assert mutations("gm, Num") == (MutationKind.GM, MutationKind.NUM)
+        with pytest.raises(ValueError, match="^unknown mutation 'LX'$"):
+            mutations("LX")
 
 
 class TestSeedDerivation:
@@ -697,8 +757,8 @@ class TestAnalyze:
         assert sorted(bundle.iterdir()) == before  # no temp file left
 
     def test_sweep_bundle_is_rejected(self, tmp_path, capsys):
-        bundle = mutation_sweep(write_config(tmp_path / "s.cfg", mutation_rates="0.1, 0.9",
-                                             output_dir=tmp_path / "sweep"))
+        bundle = mutation_sweep(write_sweep_config(tmp_path / "s.cfg", mutation_rates="0.1, 0.9",
+                                                   output_dir=tmp_path / "sweep"))
         before = sorted(bundle.iterdir())
         with pytest.raises(ConfigError, match="sweep bundle .* sweep.csv"):
             analyze(bundle)
@@ -1147,7 +1207,7 @@ class TestAnalyzeWorkers:
 
 class TestSweep:
     def test_sweep_rows_and_panels(self, tmp_path):
-        path = write_config(
+        path = write_sweep_config(
             tmp_path / "s.cfg",
             problems="9, 6",
             mutation_rates="0.1, 0.5, 1.0",
@@ -1173,7 +1233,7 @@ class TestSweep:
         assert manifest["mutation_rate"] is None
 
     def test_manifest_bytes_are_pinned(self, tmp_path):
-        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        cfg = write_sweep_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
         bundle = mutation_sweep(cfg)
         assert [c["file"] for c in load_manifest(bundle)["cells"]][:2] == [
             "trace_p09_PSOX_GM_rate0.1.csv", "trace_p09_PSOX_GM_rate1.csv"]
@@ -1192,8 +1252,8 @@ class TestSweep:
 
         monkeypatch.setattr(experiment, "read_trace_csv", never)
         monkeypatch.setattr(experiment, "_file_sha256", never)
-        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4",
-                           runs="2", workers=workers)
+        cfg = write_sweep_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4",
+                                 runs="2", workers=workers)
         bundle = mutation_sweep(cfg)
         assert started == pools  # the runs' pool only
         assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
@@ -1212,7 +1272,7 @@ class TestCli:
         assert "summary.csv" in out and "convergence_p09.svg" in out
 
     def test_sweep_command(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        cfg = write_sweep_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
         assert main(["sweep", str(cfg)]) == 0
         bundle = tmp_path / "bundle"
         assert f"sweep written to {bundle}" in capsys.readouterr().out
@@ -1220,7 +1280,7 @@ class TestCli:
 
     def test_sweep_command_with_a_failed_problem(self, tmp_path, monkeypatch):
         fail_problem(monkeypatch, 6)
-        cfg = write_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
+        cfg = write_sweep_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
         assert main(["sweep", str(cfg)]) == 0
         bundle = tmp_path / "bundle"
         rows = (bundle / "sweep.csv").read_text().splitlines()[1:]

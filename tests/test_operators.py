@@ -319,7 +319,7 @@ FLOAT_FIELDS = [(cls, f.name) for cls in (CrossoverConfig, MutationConfig)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
 def test_config_rejects_a_non_finite_float(cls, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+    with pytest.raises(ValueError, match=f"^{name}: must be finite$"):
         cls(**{name: value})
 
 
