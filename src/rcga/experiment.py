@@ -3,7 +3,7 @@
 A bundle directory holds one trace CSV per cell (problem x operator x
 mutation, or problem x rate for sweeps), a ``manifest.json`` and the
 ``curves.npz`` digest of each cell's reduction. Per-run seeds are
-``master_seed + cell_index * runs + run_index``, so re-running a config
+``seed + cell_index * runs + run_index``, so re-running a config
 reproduces every trace byte for byte regardless of worker scheduling.
 
 Config files are flat ``key = value`` text. The ``mutation_rate`` key uses
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 import warnings
 from contextlib import nullcontext
@@ -44,15 +43,10 @@ SCALE_PRESETS = {
 }
 
 OPERATOR_ALIASES = {
-    "AX": CrossoverKind.AX,
-    "FX": CrossoverKind.FX,
-    "BLX_ALPHA": CrossoverKind.BLX_ALPHA,
+    **CrossoverKind.__members__,
     "BLX-ALPHA": CrossoverKind.BLX_ALPHA,
     "BLX": CrossoverKind.BLX_ALPHA,
-    "SBX": CrossoverKind.SBX,
-    "LAPLACE": CrossoverKind.LAPLACE,
     "LX": CrossoverKind.LAPLACE,
-    "PSOX": CrossoverKind.PSOX,
 }
 
 
@@ -106,9 +100,7 @@ class ExperimentConfig:
 
 
 def format_sci(value: float, sig: int = 6) -> str:
-    """Scientific notation with ``sig`` significant digits, e.g. 1.23457E+05."""
-    if not math.isfinite(value):
-        return str(value).upper()
+    """Scientific notation with ``sig`` significant digits, e.g. 1.23457E+05; INF, -INF, NAN."""
     return f"{value:.{sig - 1}E}"
 
 
@@ -190,7 +182,7 @@ def _config_keys() -> dict:
 
 _CONFIG_KEYS = _config_keys()
 
-# Per bundle kind: the command that writes it and the keys it does not read.
+# Per bundle kind: its command and the keys it does not read, which it rejects and leaves out of the manifest.
 _UNREAD_KEYS = {
     "experiment": ("run", {"mutation_rates"}),
     "sweep": ("sweep", {"operators", "mutations", "mutation_rate"}),
@@ -442,23 +434,18 @@ def _find_bad_line(path: Path) -> Optional[str]:
 
 
 def _manifest_payload(cfg: ExperimentConfig, kind: str, cells: Sequence[dict], statuses: dict[int, str]) -> dict:
-    """The manifest of a bundle; its grid axes are those of ``cells``, in order."""
+    """The manifest: each config key the command read, under its own name, except ``workers`` and
+    ``output_dir``, which change no output byte; its grid axes are those of ``cells``, in order."""
+    unrecorded = _UNREAD_KEYS[kind][1] | {"workers", "output_dir"}
+    values = {**vars(cfg), **vars(cfg.crossover), **vars(cfg.mutation)}
     return {
+        **{key: values[key] for key in _CONFIG_KEYS if key not in unrecorded},
         "format": "rcga-bundle-v1",
         "kind": kind,
         "name": cfg.name,
         "problems": list(dict.fromkeys(c["problem"] for c in cells)),
         "operators": list(dict.fromkeys(c["operator"] for c in cells)),
         "mutations": list(dict.fromkeys(c["mutation"] for c in cells)),
-        "mutation_rates": list(cfg.mutation_rates) if kind == "sweep" else None,
-        "dimension": cfg.dimension,
-        "population_size": cfg.population_size,
-        "generations": cfg.generations,
-        "runs": cfg.runs,
-        "crossover_rate": cfg.crossover.crossover_rate,
-        "mutation_rate": None if kind == "sweep" else cfg.mutation_rate,
-        "master_seed": cfg.seed,
-        "alpha": cfg.alpha,
         "cells": [{**c, "status": statuses[c["index"]]} for c in cells],
     }
 

@@ -139,6 +139,13 @@ class TestFormat:
         assert format_sci(1.7, sig=2) == "1.7E+00"
         assert format_sci(6.8e-16, sig=2) == "6.8E-16"
 
+    @pytest.mark.parametrize("sig", [6, 2])
+    @pytest.mark.parametrize("value, text", [(float("inf"), "INF"), (-float("inf"), "-INF"),
+                                             (float("nan"), "NAN"), (-float("nan"), "NAN")],
+                             ids=["inf", "-inf", "nan", "-nan"])
+    def test_non_finite_values(self, value, text, sig):
+        assert format_sci(value, sig) == text == str(value).upper()
+
 
 class TestParseConfig:
     def test_full_roundtrip(self, tmp_path):
@@ -448,7 +455,7 @@ class TestRunExperiment:
         bundle = run_experiment(write_config(tmp_path / "a.cfg", problems="9, 6"))
         failed = "failed: run 1: synthetic evaluation failure"
         assert [c["status"] for c in load_manifest(bundle)["cells"]] == ["ok", "ok", failed, failed]
-        assert manifest_sha256(bundle) == "6cb62a62820d0e060fde953b6e28d8b55725d7fab2192ae214f2193ab93a3803"
+        assert manifest_sha256(bundle) == "2e0dbe700a0ddfffae91433a7a8c57d0c102b43683b88761e35bbf234115624e"
 
     def test_trace_bytes_are_pinned(self, tmp_path):
         bundle = run_experiment(write_config(
@@ -456,6 +463,40 @@ class TestRunExperiment:
             mutations="NUM, GM", dimension=6, population_size=9, generations=5, runs=2, mutation_rate=1.0))
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in bundle.glob("trace_*.csv")}
         assert written == PINNED_TRACES
+
+
+# Per bundle kind: the command, its config writer and the keys it does not read.
+COMMANDS = {
+    "experiment": ("run", write_config, {"mutation_rates"}),
+    "sweep": ("sweep", write_sweep_config, {"operators", "mutations", "mutation_rate"}),
+}
+
+
+@pytest.mark.parametrize("kind", ["experiment", "sweep"])
+def test_manifest_records_each_key_the_command_reads(tmp_path, kind):
+    command, write, unread = COMMANDS[kind]
+    keys = {"problems": "9", "generations": "3", "runs": "2", "mutation_rates": "0.2, 1.0", "psox_w": "0.7",
+            "selection_k": "2", "elitism": "2", "seed": "5"}
+    keys = {key: value for key, value in keys.items() if key not in unread}
+
+    def manifest(name, *flags, **changed) -> bytes:
+        cfg = write(tmp_path / f"{name}.cfg", output_dir=tmp_path / name, **{**keys, **changed})
+        assert main([command, str(cfg), *flags]) == 0
+        return (Path(flags[-1] if flags else tmp_path / name) / "manifest.json").read_bytes()
+
+    base = manifest("base")
+    recorded = json.loads(base)
+    cfg = parse_config(tmp_path / "base.cfg", None, kind)
+    values = {**vars(cfg), **vars(cfg.crossover), **vars(cfg.mutation)}
+    read = set(_CONFIG_KEYS) - unread - {"workers", "output_dir"}
+    assert set(recorded) == read | {"format", "kind", "name", "cells", "operators", "mutations"}
+    for key in read:
+        assert recorded[key] == (list(values[key]) if isinstance(values[key], tuple) else values[key]), key
+    assert (recorded["psox_w"], recorded["selection_k"], recorded["elitism"], recorded["seed"]) == (0.7, 2, 2, 5)
+    assert recorded["operators"] == (["PSOX", "AX"] if kind == "experiment" else ["PSOX"])
+    assert manifest("w", psox_w="0.8") != base
+    assert manifest("k", selection_k="3") != base
+    assert manifest("pool", "--output-dir", str(tmp_path / "elsewhere"), workers="2") == base
 
 
 def trace(values) -> RunTrace:
@@ -1230,14 +1271,14 @@ class TestSweep:
         assert manifest["operators"] == ["PSOX"]
         assert manifest["mutations"] == ["GM"]
         assert manifest["mutation_rates"] == [0.1, 0.5, 1.0]
-        assert manifest["mutation_rate"] is None
+        assert "mutation_rate" not in manifest
 
     def test_manifest_bytes_are_pinned(self, tmp_path):
         cfg = write_sweep_config(tmp_path / "s.cfg", problems="9, 6", mutation_rates="0.1, 1.0", generations="4", runs="2")
         bundle = mutation_sweep(cfg)
         assert [c["file"] for c in load_manifest(bundle)["cells"]][:2] == [
             "trace_p09_PSOX_GM_rate0.1.csv", "trace_p09_PSOX_GM_rate1.csv"]
-        assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+        assert manifest_sha256(bundle) == "cc8d8d7cbcfd1773024806a0020fbc0ac6314026e744e0b3bade7f088c76f7ad"
         sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
         assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
@@ -1256,7 +1297,7 @@ class TestSweep:
                                  runs="2", workers=workers)
         bundle = mutation_sweep(cfg)
         assert started == pools  # the runs' pool only
-        assert manifest_sha256(bundle) == "280d1a442e96261df814f4124147c2f5a62a865982a72aa510eb7d9adc08a15e"
+        assert manifest_sha256(bundle) == "cc8d8d7cbcfd1773024806a0020fbc0ac6314026e744e0b3bade7f088c76f7ad"
         sweep = hashlib.sha256((bundle / "sweep.csv").read_bytes()).hexdigest()
         assert sweep == "61321ed9ab08011bb67712a3150fb6e95d0172b67dc90a11526eff646b4a05ea"
 
